@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that raises one."""
+
+import numpy as np
 
 
 class PsedError(Exception):
@@ -18,8 +20,15 @@ class CapacityError(PsedError, ValueError):
 
 
 class DomainError(PsedError, ValueError):
-    """Input outside the mathematical domain of a closed-form expression."""
+    """Input outside the domain of a computation: a closed-form argument or non-finite data."""
 
 
 class SingularMatrixError(PsedError, ArithmeticError):
     """A linear solve hit a (numerically) rank-deficient matrix."""
+
+
+def require_finite(**arrays) -> None:
+    """Raise DomainError naming the first argument that holds a NaN or an infinity."""
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name} must be finite")

@@ -12,6 +12,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -153,60 +154,62 @@ def _run_chunk(
     ]
 
 
-def _run_cell(
-    config: SweepConfig, detector: str, snr_db: float
-) -> tuple[int, float, list[int]]:
-    """Run all trials of one (detector, snr) cell; aggregation order is fixed."""
-    noise_var = POWER / db_to_linear(snr_db)
+def _aggregate(config: SweepConfig, outcomes) -> tuple[int, float, list[int]]:
+    """Fold one cell's per-trial outcomes, in trial order, into (errors, mse, flagged trials)."""
     errors = np.zeros(config.trials, dtype=np.int64)
     sq_errs = np.zeros(config.trials)
     flagged: list[int] = []
-
-    if config.workers == 1:
-        for t in range(config.trials):
-            e, sq, fl = _run_trial(config, detector, noise_var, t)
-            errors[t], sq_errs[t] = e, sq
-            if fl:
-                flagged.append(t)
-    else:
-        chunk = max(1, math.ceil(config.trials / (config.workers * 4)))
-        spans = [(s, min(s + chunk, config.trials)) for s in range(0, config.trials, chunk)]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, config, detector, noise_var, a, b) for a, b in spans
-            ]
-            for fut in futures:
-                for t, e, sq, fl in fut.result():
-                    errors[t], sq_errs[t] = e, sq
-                    if fl:
-                        flagged.append(t)
-        flagged.sort()
-
-    return int(errors.sum()), float(sq_errs.mean()), flagged
+    for t, e, sq, fl in outcomes:
+        errors[t], sq_errs[t] = e, sq
+        if fl:
+            flagged.append(t)
+    return int(errors.sum()), float(sq_errs.mean()), sorted(flagged)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """SER/MSE sweep over the (detector, SNR) grid."""
+    """SER/MSE sweep over the (detector, SNR) grid.
+
+    With workers > 1 one process pool serves every cell: all trial chunks
+    are submitted up front and folded back per cell in trial order.
+    """
     config.validate()
+    cells = [
+        (detector, float(snr_db), POWER / db_to_linear(snr_db))
+        for detector in config.detectors
+        for snr_db in config.snr_db_grid
+    ]
+    if config.workers == 1:
+        outcomes = [
+            _run_chunk(config, detector, noise_var, 0, config.trials) for detector, _, noise_var in cells
+        ]
+    else:
+        chunk = max(1, math.ceil(config.trials / (config.workers * 4)))
+        spans = [(s, min(s + chunk, config.trials)) for s in range(0, config.trials, chunk)]
+        with ProcessPoolExecutor(max_workers=config.workers, mp_context=get_context("spawn")) as pool:
+            futures = [
+                [pool.submit(_run_chunk, config, detector, noise_var, a, b) for a, b in spans]
+                for detector, _, noise_var in cells
+            ]
+            outcomes = [[o for fut in cell for o in fut.result()] for cell in futures]
+
     rows = []
     flagged_all = []
-    for detector in config.detectors:
-        for snr_db in config.snr_db_grid:
-            total_errors, mse, flagged = _run_cell(config, detector, snr_db)
-            rows.append(
-                SweepRow(
-                    detector=detector,
-                    n_r=config.n_r,
-                    n_t=config.n_t,
-                    snr_db=float(snr_db),
-                    trials=config.trials,
-                    symbol_errors=total_errors,
-                    ser=total_errors / (config.n_t * config.trials),
-                    mse=mse,
-                    seed=config.master_seed,
-                )
+    for (detector, snr_db, _), cell in zip(cells, outcomes):
+        total_errors, mse, flagged = _aggregate(config, cell)
+        rows.append(
+            SweepRow(
+                detector=detector,
+                n_r=config.n_r,
+                n_t=config.n_t,
+                snr_db=snr_db,
+                trials=config.trials,
+                symbol_errors=total_errors,
+                ser=total_errors / (config.n_t * config.trials),
+                mse=mse,
+                seed=config.master_seed,
             )
-            flagged_all.extend((detector, float(snr_db), t) for t in flagged)
+        )
+        flagged_all.extend((detector, snr_db, t) for t in flagged)
     return SweepResult(rows=tuple(rows), flagged_trials=tuple(flagged_all))
 
 
@@ -275,8 +278,17 @@ def emit_csv(result: SweepResult, path) -> None:
         raise PsedError(f"cannot write CSV to {path}: {exc}") from exc
 
 
+def _parse_analytic(text: str) -> float | None:
+    value = float(text)
+    return None if math.isnan(value) else value
+
+
 def read_csv(path) -> SweepResult:
-    """Parse a file produced by emit_csv back into a SweepResult."""
+    """Parse a file produced by emit_csv back into a SweepResult.
+
+    An analytic column written as ``nan`` (a closed form undefined for the
+    row's shape) reads back as None.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines:
@@ -302,8 +314,8 @@ def read_csv(path) -> SweepResult:
         if analytic:
             row = dataclasses.replace(
                 row,
-                mse_conv_asymptotic=float(parts[9]),
-                mse_psed_closed_form=float(parts[10]),
+                mse_conv_asymptotic=_parse_analytic(parts[9]),
+                mse_psed_closed_form=_parse_analytic(parts[10]),
             )
         rows.append(row)
     return SweepResult(rows=tuple(rows))

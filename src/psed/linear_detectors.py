@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SingularMatrixError
+from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite
 
 MF = "MF"
 ZF = "ZF"
@@ -31,8 +31,11 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
     MF:    W = H / sqrt(P)
     ZF:    W = H (H^H H)^-1 / sqrt(P)
     LMMSE: W = H (H^H H + (noise_var / P) I)^-1
+
+    A non-finite H or noise_var raises DomainError.
     """
     H = np.asarray(H, dtype=np.complex128)
+    require_finite(H=H, noise_var=noise_var)
     sqrt_p = np.sqrt(power)
     if kind == MF:
         W = H / sqrt_p

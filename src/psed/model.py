@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, require_finite
 
 BPSK = "BPSK"
 QPSK = "QPSK"
@@ -145,9 +145,13 @@ def transmit(
     noise_var: float,
     rng: np.random.Generator | int,
 ) -> SystemInstance:
-    """Form ``y = sqrt(P) H s + v`` with ``v ~ CN(0, noise_var I)``."""
+    """Form ``y = sqrt(P) H s + v`` with ``v ~ CN(0, noise_var I)``.
+
+    A non-finite H, s or noise_var raises DomainError.
+    """
     H = np.asarray(H, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
+    require_finite(H=H, s=s, noise_var=noise_var)
     if H.ndim != 2 or s.ndim != 1 or H.shape[1] != s.shape[0]:
         raise DimensionError(f"H has shape {H.shape} but s has shape {s.shape}")
     if power <= 0:

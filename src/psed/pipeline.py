@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear_detectors, slicer, sparse_recovery
-from .errors import ConfigurationError, DimensionError, SingularMatrixError
+from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite
 from .model import Constellation
 from .slicer import SlicedVector
 from .sparse_recovery import RecoveryResult, SupportSet
@@ -131,10 +131,12 @@ def psed_detect(
     """Run the full detect / slice / transform / recover / correct pipeline.
 
     A singular recovery subproblem is not fatal: the output falls back to
-    the sliced step-2 estimate and the trial is flagged.
+    the sliced step-2 estimate and the trial is flagged. A non-finite y, H
+    or noise_var raises DomainError.
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    require_finite(y=y)  # weight_matrix below rejects a non-finite H or noise_var
     k = config.bound_sparsity(H.shape[1])
 
     weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var)

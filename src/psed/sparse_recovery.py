@@ -1,13 +1,18 @@
 """Greedy sparse recovery of the detection-error vector.
 
-Implements single-path orthogonal matching pursuit and the multipath
-tree search that keeps L child support candidates per surviving path,
-deduplicates candidates that coincide as sets, and returns the
-least-squares solution on the minimum-residual path.
+Implements the multipath matching pursuit tree search (Kwon, Wang &
+Shim, IEEE TIT 2014) that keeps L child support candidates per surviving
+path, deduplicates candidates that coincide as sets, prunes each layer to
+`max_paths` survivors, and returns the least-squares (or regularized)
+solution on the minimum-residual path. Orthogonal matching pursuit is
+the L = 1 case.
 
 Recovery operates on the scaled matrix A = sqrt(P) H so the pursuit
 pseudocode applies verbatim; estimates are rescaled back to the
-original system on output.
+original system on output. The search itself runs on the Gram matrix
+A^H A, as in Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008): no
+n_r-dimensional residual is formed along the paths, and the support
+estimators re-solve from H only once, on the winning support.
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ LS = "LS"
 LMMSE = "LMMSE"
 
 _COND_LIMIT = 1e12
-_RANK_TOL = 1e-12
+# A column is dependent on a path's support when ||P_perp a_j||^2 is at most
+# _RANK_TOL * max(||a_j||^2, 1), with a_j augmented as in `mmp`. The Gram-domain
+# projection energy resolves ||P_perp a_j|| only to about sqrt(eps), so a
+# tighter bound would test rounding noise.
+_RANK_TOL = 1e-10
 DEFAULT_MAX_PATHS = 64
 
 
@@ -147,107 +156,6 @@ def lmmse_on_support(
     return e_hat
 
 
-def _vnorm(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real) ** 0.5
-
-
-def _grow(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n_r, k = Q.shape
-    out = np.empty((n_r, k + 1), dtype=np.complex128)
-    out[:, :k] = Q
-    out[:, k] = q
-    return out
-
-
-class _Path:
-    """One support candidate with an incrementally maintained thin QR of A_S.
-
-    The QR factors give the least-squares residual cheaply when the path
-    is extended by one column; a second orthogonalization pass keeps Q
-    numerically orthonormal along deep paths.
-    """
-
-    __slots__ = ("indices", "Q", "residual", "residual_norm")
-
-    def __init__(self, indices: tuple[int, ...], Q: np.ndarray, residual: np.ndarray, residual_norm: float):
-        self.indices = indices
-        self.Q = Q
-        self.residual = residual
-        self.residual_norm = residual_norm
-
-    @classmethod
-    def root(cls, y_prime: np.ndarray) -> "_Path":
-        n_r = y_prime.shape[0]
-        return cls((), np.zeros((n_r, 0), dtype=np.complex128), y_prime.copy(), _vnorm(y_prime))
-
-    def extend(self, A: np.ndarray, j: int) -> "_Path":
-        a = A[:, j]
-        QH = self.Q.conj().T
-        w = a - self.Q @ (QH @ a)
-        w = w - self.Q @ (QH @ w)
-        norm_w = _vnorm(w)
-        if norm_w <= _RANK_TOL * max(_vnorm(a), 1.0):
-            raise SingularMatrixError(
-                f"rank-deficient submatrix on support {sorted(self.indices + (j,))}"
-            )
-        q = w / norm_w
-        residual = self.residual - q * np.vdot(q, self.residual)
-        return _Path(self.indices + (j,), _grow(self.Q, q), residual, _vnorm(residual))
-
-
-class _LmmsePath:
-    """Path state for the regularized-estimator variant (direct solves)."""
-
-    __slots__ = ("indices", "residual", "residual_norm")
-
-    def __init__(self, indices: tuple[int, ...], residual: np.ndarray, residual_norm: float):
-        self.indices = indices
-        self.residual = residual
-        self.residual_norm = residual_norm
-
-    @classmethod
-    def root(cls, y_prime: np.ndarray) -> "_LmmsePath":
-        return cls((), y_prime.copy(), float(np.linalg.norm(y_prime)))
-
-
-def _extend_block(path: "_Path", A: np.ndarray, columns: list[int]) -> list["_Path"]:
-    """Extend one parent by several columns, sharing the projection products."""
-    if not columns:
-        return []
-    cols = A[:, columns]
-    QH = path.Q.conj().T
-    W = cols - path.Q @ (QH @ cols)
-    W -= path.Q @ (QH @ W)
-    norms = np.linalg.norm(W, axis=0)
-    col_norms = np.linalg.norm(cols, axis=0)
-    children = []
-    for t, j in enumerate(columns):
-        if norms[t] <= _RANK_TOL * max(col_norms[t], 1.0):
-            raise SingularMatrixError(
-                f"rank-deficient submatrix on support {sorted(path.indices + (j,))}"
-            )
-        q = np.ascontiguousarray(W[:, t]) / norms[t]
-        residual = path.residual - q * np.vdot(q, path.residual)
-        children.append(_Path(path.indices + (j,), _grow(path.Q, q), residual, _vnorm(residual)))
-    return children
-
-
-def _best_indices(corr: np.ndarray, count: int, exclude: tuple[int, ...]) -> list[int]:
-    """Indices of the `count` largest correlations, ties toward lower index."""
-    masked = corr.copy()
-    if exclude:
-        masked[list(exclude)] = -np.inf
-    order = np.lexsort((np.arange(masked.shape[0]), -masked))
-    picked = []
-    for j in order[: count + len(exclude)]:
-        if masked[j] == -np.inf:
-            continue
-        picked.append(int(j))
-        if len(picked) == count:
-            break
-    return picked
-
-
 def _resolve_tol(tol: float | None, y_norm: float) -> float:
     if tol is None:
         return 1e-9 * y_norm
@@ -256,31 +164,21 @@ def _resolve_tol(tol: float | None, y_norm: float) -> float:
     return float(tol)
 
 
-def _finalize(
+def _solve(
     H: np.ndarray,
     y_prime: np.ndarray,
     power: float,
     indices: tuple[int, ...],
-    paths_explored: int,
-    iterations: int,
     estimator: str,
     error_var: float | None,
     noise_var: float | None,
-) -> RecoveryResult:
-    """Re-solve on the winning support and package the result."""
-    support = SupportSet(indices)
+) -> tuple[np.ndarray, float]:
+    """Estimate on one support from scratch; returns (e_hat, residual norm)."""
     if estimator == LS:
-        e_hat = ls_on_support(H, y_prime, power, support)
+        e_hat = ls_on_support(H, y_prime, power, indices)
     else:
-        e_hat = lmmse_on_support(H, y_prime, power, support, error_var, noise_var)
-    residual = y_prime - np.sqrt(power) * (H @ e_hat)
-    return RecoveryResult(
-        support=support,
-        e_hat=e_hat,
-        residual_norm=float(np.linalg.norm(residual)),
-        paths_explored=paths_explored,
-        iterations=iterations,
-    )
+        e_hat = lmmse_on_support(H, y_prime, power, indices, error_var, noise_var)
+    return e_hat, float(np.linalg.norm(y_prime - np.sqrt(power) * (H @ e_hat)))
 
 
 def _check_pursuit_args(H: np.ndarray, y_prime: np.ndarray, K: int) -> None:
@@ -298,40 +196,9 @@ def omp(H: np.ndarray, y_prime: np.ndarray, power: float, K: int, tol: float | N
     Each iteration appends the not-yet-selected column most correlated
     with the residual, re-solves least squares on the accumulated
     support, and stops early once the residual norm drops to `tol`
-    (default 1e-9 times the norm of y').
+    (default 1e-9 times the norm of y'). This is `mmp` with L = 1.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    y_prime = np.asarray(y_prime, dtype=np.complex128)
-    _check_pursuit_args(H, y_prime, K)
-    A = np.sqrt(power) * H
-    AH = A.conj().T
-    tol_eff = _resolve_tol(tol, float(np.linalg.norm(y_prime)))
-
-    path = _Path.root(y_prime)
-    iterations = 0
-    for _ in range(K):
-        if path.residual_norm <= tol_eff:
-            break
-        corr = np.abs(AH @ path.residual) ** 2
-        j = _best_indices(corr, 1, path.indices)[0]
-        path = path.extend(A, j)
-        iterations += 1
-    return _finalize(H, y_prime, power, path.indices, iterations, iterations, LS, None, None)
-
-
-def _extend_lmmse(
-    path: _LmmsePath,
-    H: np.ndarray,
-    y_prime: np.ndarray,
-    power: float,
-    j: int,
-    error_var: float,
-    noise_var: float,
-) -> _LmmsePath:
-    indices = path.indices + (j,)
-    e_hat = lmmse_on_support(H, y_prime, power, indices, error_var, noise_var)
-    residual = y_prime - np.sqrt(power) * (H @ e_hat)
-    return _LmmsePath(indices, residual, float(np.linalg.norm(residual)))
+    return mmp(H, y_prime, power, K, L=1, tol=tol)
 
 
 def mmp(
@@ -349,16 +216,29 @@ def mmp(
     """Multipath matching pursuit: breadth-first search over support candidates.
 
     Every surviving path spawns up to L children from the columns most
-    correlated with its residual; children that coincide (as sets) with a
-    path already created in the layer are dropped. After K layers the
-    minimum-residual path wins and its estimate is re-solved on the full
-    support. When a layer exceeds `max_paths` candidates only the
-    smallest-residual paths survive. With L = 1 the search degenerates to
-    `omp` and returns identical output.
+    correlated with its residual (ties toward the lower index); children
+    that coincide (as sets) with a path already created in the layer are
+    dropped. When a layer exceeds `max_paths` candidates only the
+    smallest-residual paths survive, ties toward the earlier child. After
+    K layers, or once a residual norm drops to `tol`, the minimum-residual
+    path wins and its estimate is re-solved on the full support. With
+    L = 1 the search is `omp`.
 
     The default estimator solves least squares per path; `estimator="LMMSE"`
     (requires `error_var` and `noise_var`) applies the regularized solve
     instead, both along the paths and in the final re-solve.
+
+    The search runs on G = A^H A with A = sqrt(P) H. The regularized solve
+    with rho = noise_var / error_var is least squares on the augmented
+    system A~ = [A; sqrt(rho) I] against y' padded with zeros, so one
+    kernel serves both estimators (rho = 0 for LS) and A~^H A~ = G + rho I.
+    For its residual r~ and the orthonormal basis q_1..q_k of its columns,
+    each path keeps c = A~^H r~, d_j = ||P_perp a~_j||^2, ||r~||^2 and the
+    rows A~^H q_i; with rho > 0 also R^-1 and the estimate x on the
+    support. A child (p, j) is scored before it is built: its residual
+    energy is ||r~||^2 - |c_j|^2 / d_j, minus rho ||x'||^2 (O(k^2)) to rank
+    by ||y' - A x'||^2 as a direct regularized solve would. Only the
+    children that survive the `max_paths` cut are built, each in O(n_t k).
     """
     H = np.asarray(H, dtype=np.complex128)
     y_prime = np.asarray(y_prime, dtype=np.complex128)
@@ -369,70 +249,118 @@ def mmp(
         raise ConfigurationError(f"max_paths must be >= 1, got {max_paths}")
     if estimator not in (LS, LMMSE):
         raise ConfigurationError(f"unknown estimator {estimator!r}; expected LS or LMMSE")
-    if estimator == LMMSE and (error_var is None or noise_var is None):
-        raise ConfigurationError("estimator='LMMSE' requires error_var and noise_var")
+    rho = 0.0
+    if estimator == LMMSE:
+        if error_var is None or noise_var is None:
+            raise ConfigurationError("estimator='LMMSE' requires error_var and noise_var")
+        if error_var <= 0:
+            raise ConfigurationError(f"error_var must be positive, got {error_var}")
+        if noise_var < 0:
+            raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
+        rho = noise_var / error_var
 
+    n_t = H.shape[1]
     A = np.sqrt(power) * H
-    AH = A.conj().T
-    tol_eff = _resolve_tol(tol, float(np.linalg.norm(y_prime)))
+    gram = A.conj().T @ A
+    gram[np.diag_indices(n_t)] += rho
+    col_energy = gram.diagonal().real.copy()
+    y2 = float(np.vdot(y_prime, y_prime).real)
+    tol2 = _resolve_tol(tol, float(np.linalg.norm(y_prime))) ** 2
+    # The Gram-domain residual energy carries an absolute error of about
+    # eps ||y'||^2; below this level the stop test and the final choice use
+    # the residual of a fresh solve instead.
+    exact_below = tol2 + 64 * np.finfo(float).eps * y2
 
-    if estimator == LS:
-        paths: list = [_Path.root(y_prime)]
-        extend = lambda p, j: p.extend(A, j)  # noqa: E731
-    else:
-        paths = [_LmmsePath.root(y_prime)]
-        extend = lambda p, j: _extend_lmmse(p, H, y_prime, power, j, error_var, noise_var)  # noqa: E731
+    # One row per path of the current layer.
+    idx = np.zeros((1, 0), dtype=np.intp)
+    c = (A.conj().T @ y_prime)[None, :]
+    d = col_energy[None, :].copy()
+    r2 = np.array([y2])
+    V = np.zeros((0, 1, n_t), dtype=np.complex128)  # V[i, p] = A~^H q_i of path p
+    R_inv = np.zeros((1, 0, 0), dtype=np.complex128)
+    x = np.zeros((1, 0), dtype=np.complex128)
+    score = r2.copy()
 
     paths_explored = 0
     iterations = 0
-    for _ in range(K):
-        if min(p.residual_norm for p in paths) <= tol_eff:
+    while True:
+        small = np.flatnonzero(score <= exact_below)
+        if small.size:
+            score = score.copy()  # it may share memory with r2
+            for p in small:
+                score[p] = _solve(H, y_prime, power, tuple(idx[p]), estimator, error_var, noise_var)[1] ** 2
+        if iterations == K or score.min() <= tol2:
             break
-        seen: set[frozenset] = set()
-        children: list = []
-        if len(paths) == 1 or estimator == LMMSE:
-            # Scalar route; with L = 1 this is exactly the omp update sequence.
-            for path in paths:
-                corr = np.abs(AH @ path.residual) ** 2
-                for j in _best_indices(corr, L, path.indices):
-                    key = frozenset(path.indices) | {j}
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    children.append(extend(path, j))
-                    paths_explored += 1
-        else:
-            # Batched route: one correlation product and one stable sort for
-            # the whole layer, then per-parent block QR extensions.
-            residuals = np.stack([p.residual for p in paths], axis=1)
-            corr = np.abs(AH @ residuals) ** 2
-            for pi, path in enumerate(paths):
-                if path.indices:
-                    corr[list(path.indices), pi] = -np.inf
-            order = np.argsort(-corr, axis=0, kind="stable")
-            for pi, path in enumerate(paths):
-                cand = []
-                for j in order[: L + len(path.indices), pi]:
-                    if corr[j, pi] == -np.inf:
-                        continue
-                    cand.append(int(j))
-                    if len(cand) == L:
-                        break
-                fresh = []
-                for j in cand:
-                    key = frozenset(path.indices) | {j}
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(j)
-                children.extend(_extend_block(path, A, fresh))
-                paths_explored += len(fresh)
-        if len(children) > max_paths:
-            keep = sorted(range(len(children)), key=lambda i: (children[i].residual_norm, i))
-            children = [children[i] for i in keep[:max_paths]]
-        paths = children
+        S, k = idx.shape
+
+        # Candidates: the top L off-support correlations of every path.
+        mag = np.abs(c) ** 2
+        rows = np.arange(S)
+        mag[rows[:, None], idx] = -np.inf
+        width = min(L, n_t - k)
+        cand = np.empty((S, width), dtype=np.intp)
+        for col in range(width):
+            cand[:, col] = top = mag.argmax(axis=1)
+            mag[rows, top] = -np.inf
+        parent = np.repeat(rows, width)
+        j = cand.ravel()
+        if S > 1:
+            # lexsort is stable, so each run of equal sets starts at its first child.
+            keys = np.sort(np.concatenate([idx[parent], j[:, None]], axis=1), axis=1)
+            order = np.lexsort(keys.T)
+            repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+            first = np.sort(order[np.concatenate([[True], ~repeat])])
+            parent, j = parent[first], j[first]
+        paths_explored += len(j)
+
+        # Score every child from its parent's state before building any.
+        dj = d[parent, j]
+        singular = dj <= _RANK_TOL * np.maximum(col_energy[j], 1.0)
+        if singular.any():
+            p = int(np.argmax(singular))
+            support = sorted(int(i) for i in (*idx[parent[p]], j[p]))
+            raise SingularMatrixError(f"rank-deficient submatrix on support {support}")
+        s = np.sqrt(dj)
+        gamma = c[parent, j] / s
+        r2_child = r2[parent] - np.abs(gamma) ** 2
+        score = r2_child
+        if rho > 0:
+            u = np.matmul(R_inv[parent], V[:, parent, j].T.conj()[:, :, None])[:, :, 0]
+            x_child = np.concatenate([x[parent] - u * (gamma / s)[:, None], (gamma / s)[:, None]], axis=1)
+            score = r2_child - rho * np.sum(np.abs(x_child) ** 2, axis=1)
+        if len(j) > max_paths:
+            keep = np.argsort(score, kind="stable")[:max_paths]
+            parent, j, s, gamma, r2_child, score = (a[keep] for a in (parent, j, s, gamma, r2_child, score))
+            if rho > 0:
+                u, x_child = u[keep], x_child[keep]
+
+        # Build the survivors: one new basis row each, then the rank-one updates.
+        t = V[:, parent, j].T.conj()
+        grown = np.empty((k + 1, len(j), n_t), dtype=np.complex128)
+        # Indices are in range; mode="wrap" lets take write into `grown` unbuffered.
+        np.take(V, parent, axis=1, out=grown[:k], mode="wrap")
+        v = (gram[:, j].T - np.matmul(t[:, None, :], grown[:k].transpose(1, 0, 2))[:, 0]) / s[:, None]
+        grown[k] = v
+        V = grown
+        c = c[parent] - gamma[:, None] * v
+        d = d[parent] - np.abs(v) ** 2
+        r2 = r2_child
+        idx = np.concatenate([idx[parent], j[:, None]], axis=1)
+        if rho > 0:
+            R_inv_grown = np.zeros((len(j), k + 1, k + 1), dtype=np.complex128)
+            R_inv_grown[:, :k, :k] = R_inv[parent]
+            R_inv_grown[:, :k, k] = -u / s[:, None]
+            R_inv_grown[:, k, k] = 1.0 / s
+            R_inv, x = R_inv_grown, x_child
         iterations += 1
 
-    best = min(range(len(paths)), key=lambda i: (paths[i].residual_norm, i))
-    return _finalize(
-        H, y_prime, power, paths[best].indices, paths_explored, iterations, estimator, error_var, noise_var
+    best = int(np.argmin(score))
+    indices = tuple(int(i) for i in idx[best])
+    e_hat, residual_norm = _solve(H, y_prime, power, indices, estimator, error_var, noise_var)
+    return RecoveryResult(
+        support=SupportSet(indices),
+        e_hat=e_hat,
+        residual_norm=residual_norm,
+        paths_explored=paths_explored,
+        iterations=iterations,
     )

@@ -159,6 +159,18 @@ class TestCsvRoundTrip:
         back = read_csv(path)
         assert back.has_analytic_columns
 
+    def test_undefined_closed_form_round_trips_as_none(self, tmp_path):
+        # beta = 2: the post-recovery closed form is undefined and written as nan
+        result = run_mse_curves(tiny_config(n_r=32, n_t=64, constellation="BPSK", trials=3))
+        assert all(r.mse_psed_closed_form is None for r in result.rows)
+        path = tmp_path / "wide.csv"
+        emit_csv(result, path)
+        floats = ("snr_db", "ser", "mse", "mse_conv_asymptotic")
+        ten_digits = [
+            dataclasses.replace(r, **{f: float(f"{getattr(r, f):.10g}") for f in floats}) for r in result.rows
+        ]
+        assert read_csv(path).rows == tuple(ten_digits)
+
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(PsedError, match="cannot write"):
             emit_csv(SweepResult(rows=()), tmp_path / "no" / "such" / "dir.csv")

@@ -48,6 +48,17 @@ class TestWeightMatrix:
         with pytest.raises(SingularMatrixError, match="ZF"):
             weight_matrix(H, "ZF", 1.0, 0.1)
 
+    @pytest.mark.parametrize("kind", ["MF", "LMMSE"])
+    def test_non_finite_input_rejected(self, kind):
+        from psed import DomainError
+
+        H = seeded_channel(8, 4, seed=5)
+        with pytest.raises(DomainError, match="^noise_var "):
+            weight_matrix(H, kind, 1.0, np.inf)
+        H[0, 0] = np.nan
+        with pytest.raises(DomainError, match="^H "):
+            weight_matrix(H, kind, 1.0, 0.1)
+
     def test_unknown_kind_rejected(self):
         from psed import ConfigurationError
 

@@ -1,0 +1,91 @@
+"""The Gram-domain MMP kernel against a plainly written reference search."""
+
+import numpy as np
+import pytest
+
+from psed import lmmse_on_support, ls_on_support, mmp
+from tests.conftest import complex_noise, random_sparse, seeded_channel
+
+ERROR_VAR = 2.0
+NOISE_VAR = 0.05
+
+
+def reference_mmp(H, y, power, K, L, tol=None, max_paths=64, estimator="LS", error_var=None, noise_var=None):
+    """Breadth-first MMP that re-solves every path from scratch.
+
+    Returns (support in selection order, e_hat, paths explored, layers run).
+    """
+    A = np.sqrt(power) * H
+    if tol is None:
+        tol = 1e-9 * np.linalg.norm(y)
+
+    def solve(indices):
+        if estimator == "LS":
+            e_hat = ls_on_support(H, y, power, indices)
+        else:
+            e_hat = lmmse_on_support(H, y, power, indices, error_var, noise_var)
+        return e_hat, np.linalg.norm(y - A @ e_hat)
+
+    paths = [((), np.linalg.norm(y))]
+    explored = 0
+    layers = 0
+    for _ in range(K):
+        if min(norm for _, norm in paths) <= tol:
+            break
+        seen = set()
+        children = []
+        for indices, _ in paths:
+            e_hat, _ = solve(indices)
+            corr = np.abs(A.conj().T @ (y - A @ e_hat)) ** 2
+            free = [j for j in range(H.shape[1]) if j not in indices]
+            for j in sorted(free, key=lambda j: (-corr[j], j))[:L]:
+                key = frozenset(indices) | {j}
+                if key in seen:
+                    continue
+                seen.add(key)
+                children.append((indices + (j,), solve(indices + (j,))[1]))
+                explored += 1
+        if len(children) > max_paths:
+            # sorted() is stable: equal residuals keep creation order
+            children = sorted(children, key=lambda child: child[1])[:max_paths]
+        paths = children
+        layers += 1
+    best = min(paths, key=lambda path: path[1])[0]
+    return best, solve(best)[0], explored, layers
+
+
+def assert_same_search(H, y, K, **kwargs):
+    got = mmp(H, y, 1.0, K=K, **kwargs)
+    support, e_hat, explored, layers = reference_mmp(H, y, 1.0, K, **kwargs)
+    assert got.support.indices == support
+    assert got.paths_explored == explored
+    assert got.iterations == layers
+    np.testing.assert_allclose(got.e_hat, e_hat, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, K", [(16, 3), (32, 4)])
+def test_matches_reference_on_noisy_instances(n, K):
+    # Seeds cycle through L in {2, 3}, both estimators and a max_paths = 4 cut.
+    for seed in range(200):
+        H = seeded_channel(n, n, seed=5000 + seed)
+        y = H @ random_sparse(n, K, seed=5000 + seed) + complex_noise(n, seed=5000 + seed, scale=0.2)
+        assert_same_search(
+            H,
+            y,
+            K,
+            L=2 + seed % 2,
+            tol=0.0,
+            max_paths=4 if seed % 5 == 0 else 64,
+            estimator="LS" if seed // 2 % 2 == 0 else "LMMSE",
+            error_var=ERROR_VAR,
+            noise_var=NOISE_VAR,
+        )
+
+
+@pytest.mark.parametrize("n, K", [(16, 3), (32, 4)])
+def test_matches_reference_on_noiseless_early_stop(n, K):
+    for seed in range(10):
+        H = seeded_channel(n, n, seed=6000 + seed)
+        y = H @ random_sparse(n, 2, seed=6000 + seed)
+        assert_same_search(H, y, K, L=2)
+        assert mmp(H, y, 1.0, K=K, L=2).iterations == 2

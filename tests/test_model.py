@@ -6,6 +6,7 @@ import pytest
 from psed import (
     ConfigurationError,
     DimensionError,
+    DomainError,
     SnrSpec,
     draw_symbols,
     generate_channel,
@@ -119,6 +120,16 @@ class TestTransmit:
         s = draw_symbols(qpsk, 5, rng_stream(5, "symbols"))
         with pytest.raises(DimensionError):
             transmit(H, s, 1.0, 0.1, rng_stream(5, "noise"))
+
+    def test_non_finite_input_rejected(self, qpsk):
+        H = generate_channel(8, 4, rng_stream(5, "channel"))
+        s = draw_symbols(qpsk, 4, rng_stream(5, "symbols"))
+        bad_H = H.copy()
+        bad_H[2, 1] = np.nan
+        cases = ((bad_H, s, 0.1, "H"), (H, s * np.inf, 0.1, "s"), (H, s, np.nan, "noise_var"))
+        for H_in, s_in, noise_var, name in cases:
+            with pytest.raises(DomainError, match=f"^{name} "):
+                transmit(H_in, s_in, 1.0, noise_var, rng_stream(5, "noise"))
 
     def test_deterministic(self, qpsk):
         H = generate_channel(8, 8, rng_stream(6, "channel"))

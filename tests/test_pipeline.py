@@ -5,6 +5,7 @@ import pytest
 
 from psed import (
     ConfigurationError,
+    DomainError,
     PsedConfig,
     SingularMatrixError,
     draw_symbols,
@@ -140,6 +141,20 @@ class TestPsedDetect:
         # soft estimates live in the convex hull, not on the grid
         assert np.all(np.abs(out.s_hat.values) <= np.abs(qpsk.points).max() + 1e-12)
         assert np.all(np.isin(out.s_final.values, qpsk.points))
+
+    def test_all_nan_observation_raises(self, qpsk):
+        # NaN distances would otherwise slice every stream to point 0, unflagged
+        H = seeded_channel(32, 32, seed=10)
+        y = np.full(32, np.nan + 0j)
+        with pytest.raises(DomainError, match="^y "):
+            psed_detect(y, H, 1.0, 0.1, qpsk, PsedConfig(tol=0.0))
+
+    @pytest.mark.parametrize("field", ["H", "noise_var"])
+    def test_non_finite_channel_or_noise_raises(self, qpsk, field):
+        args = {"H": seeded_channel(8, 8, seed=11), "noise_var": 0.1}
+        args[field] = args[field] * np.inf
+        with pytest.raises(DomainError, match=f"^{field} "):
+            psed_detect(complex_noise(8, seed=11), args["H"], 1.0, args["noise_var"], qpsk, PsedConfig())
 
     def test_lmmse_estimator_selectable(self, qpsk):
         H = seeded_channel(16, 16, seed=9)
