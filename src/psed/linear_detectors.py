@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite
@@ -17,12 +15,38 @@ DETECTOR_KINDS = (MF, ZF, LMMSE)
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
-    """Linear detector weights W; the estimate is s_tilde = W^H y."""
+    """Linear detector weights W; the estimate is s_tilde = W^H y.
 
-    kind: str
-    W: np.ndarray = field(repr=False)
+    `WeightMatrix(kind, W)` holds W itself, as MF and ZF weights do. LMMSE
+    weights from `weight_matrix` hold H and the regularised Gram
+    G = H^H H + (noise_var / P) I instead: `detect` solves G s_tilde = H^H y
+    (one right-hand side), and W = H G^-1 is formed, with n_r right-hand
+    sides, each time `.W` is read. It is not kept, so holding many weights
+    costs no more memory than holding their channels.
+    """
+
+    __slots__ = ("kind", "_mat", "_gram")
+
+    def __init__(self, kind: str, W: np.ndarray):
+        self.kind = kind
+        self._mat = W  # W itself, or H when _gram is set
+        self._gram = None
+
+    @classmethod
+    def _from_gram(cls, kind: str, H: np.ndarray, gram: np.ndarray) -> "WeightMatrix":
+        weights = cls(kind, H)
+        weights._gram = gram
+        return weights
+
+    @property
+    def W(self) -> np.ndarray:
+        if self._gram is None:
+            return self._mat
+        return np.linalg.solve(self._gram.conj().T, self._mat.conj().T).conj().T
+
+    def __repr__(self) -> str:
+        return f"WeightMatrix(kind={self.kind!r})"
 
 
 def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> WeightMatrix:
@@ -30,40 +54,50 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
 
     MF:    W = H / sqrt(P)
     ZF:    W = H (H^H H)^-1 / sqrt(P)
-    LMMSE: W = H (H^H H + (noise_var / P) I)^-1
+    LMMSE: W = H (H^H H + (noise_var / P) I)^-1, held as H and that Gram
 
-    A non-finite H or noise_var raises DomainError.
+    A non-finite H or noise_var raises DomainError; a ZF or LMMSE Gram
+    with condition number above 1e12 raises SingularMatrixError.
     """
     H = np.asarray(H, dtype=np.complex128)
     require_finite(H=H, noise_var=noise_var)
     sqrt_p = np.sqrt(power)
     if kind == MF:
-        W = H / sqrt_p
-    elif kind == ZF:
+        return WeightMatrix(kind, H / sqrt_p)
+    if kind == ZF:
         gram = H.conj().T @ H
         if np.linalg.cond(gram) > _COND_LIMIT:
             raise SingularMatrixError(
                 f"ZF weight matrix: H^H H is numerically singular "
                 f"(condition number above {_COND_LIMIT:g})"
             )
-        W = H @ np.linalg.inv(gram) / sqrt_p
-    elif kind == LMMSE:
-        n_t = H.shape[1]
-        gram = H.conj().T @ H + (noise_var / power) * np.eye(n_t)
-        # Regularized system; solve instead of forming the inverse.
-        W = np.linalg.solve(gram.conj().T, H.conj().T).conj().T
-    else:
-        raise ConfigurationError(f"unknown linear detector kind {kind!r}; expected one of {DETECTOR_KINDS}")
-    return WeightMatrix(kind=kind, W=W)
+        return WeightMatrix(kind, H @ np.linalg.inv(gram) / sqrt_p)
+    if kind == LMMSE:
+        gram = H.conj().T @ H
+        h2 = gram.trace().real  # ||H||_F^2
+        rho = noise_var / power
+        gram[np.diag_indices(H.shape[1])] += rho
+        # cond(G) <= (||H||_F^2 + rho) / rho, so at any usual noise level the
+        # bound alone clears G; only near-zero noise needs the SVD.
+        if h2 + rho >= _COND_LIMIT * rho and not np.linalg.cond(gram) <= _COND_LIMIT:
+            raise SingularMatrixError(
+                f"LMMSE weight matrix: H^H H + (noise_var/P) I is numerically singular "
+                f"(condition number above {_COND_LIMIT:g})"
+            )
+        return WeightMatrix._from_gram(kind, H, gram)
+    raise ConfigurationError(f"unknown linear detector kind {kind!r}; expected one of {DETECTOR_KINDS}")
 
 
 def detect(weights: WeightMatrix | np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply the weights: s_tilde = W^H y."""
-    W = weights.W if isinstance(weights, WeightMatrix) else np.asarray(weights)
+    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights."""
     y = np.asarray(y)
-    if W.shape[0] != y.shape[0]:
-        raise DimensionError(f"W has {W.shape[0]} rows but y has length {y.shape[0]}")
-    return W.conj().T @ y
+    M = weights._mat if isinstance(weights, WeightMatrix) else np.asarray(weights)
+    if M.shape[0] != y.shape[0]:
+        raise DimensionError(f"W has {M.shape[0]} rows but y has length {y.shape[0]}")
+    s_tilde = M.conj().T @ y
+    if isinstance(weights, WeightMatrix) and weights._gram is not None:
+        s_tilde = np.linalg.solve(weights._gram, s_tilde)
+    return s_tilde
 
 
 def residual_stream_variance(

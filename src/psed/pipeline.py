@@ -113,9 +113,10 @@ def _slice_step(
     n_t = H.shape[1]
     priors = np.full(len(constellation), 1.0 / len(constellation))
     values = np.empty(n_t, dtype=np.complex128)
+    W = weights.W  # LMMSE weights form W on every read
     for i in range(n_t):
-        gain = np.sqrt(power) * complex(weights.W[:, i].conj() @ H[:, i])
-        var_i = max(linear_detectors.residual_stream_variance(H, weights, power, noise_var, i), 1e-30)
+        gain = np.sqrt(power) * complex(W[:, i].conj() @ H[:, i])
+        var_i = max(linear_detectors.residual_stream_variance(H, W, power, noise_var, i), 1e-30)
         values[i] = slicer.soft_slice(complex(s_tilde[i]), constellation, priors, gain, var_i)
     return SlicedVector(values=values, mode=slicer.SOFT)
 

@@ -10,9 +10,10 @@ the L = 1 case.
 Recovery operates on the scaled matrix A = sqrt(P) H so the pursuit
 pseudocode applies verbatim; estimates are rescaled back to the
 original system on output. The search itself runs on the Gram matrix
-A^H A, as in Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008): no
-n_r-dimensional residual is formed along the paths, and the support
-estimators re-solve from H only once, on the winning support.
+A^H A, as in Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008): a path
+carries its support, its estimate on that support and the inverse
+Cholesky factor of its Gram block, never an n_r- or n_t-long vector, and
+the support estimators re-solve from H only once, on the winning support.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def ls_on_support(H: np.ndarray, y_prime: np.ndarray, power: float, support) -> 
     if len(idx) > H.shape[0]:
         raise ConfigurationError(f"support size {len(idx)} exceeds {H.shape[0]} measurements")
     A_s = np.sqrt(power) * H[:, list(idx)]
-    if np.linalg.cond(A_s) > _COND_LIMIT:
+    coef, _, _, sv = np.linalg.lstsq(A_s, y_prime, rcond=None)
+    if sv[0] > _COND_LIMIT * sv[-1]:  # cond(A_s) from the singular values lstsq computed
         raise SingularMatrixError(f"rank-deficient submatrix on support {list(idx)}")
-    coef, _, _, _ = np.linalg.lstsq(A_s, y_prime, rcond=None)
     e_hat[list(idx)] = coef
     return e_hat
 
@@ -181,15 +182,6 @@ def _solve(
     return e_hat, float(np.linalg.norm(y_prime - np.sqrt(power) * (H @ e_hat)))
 
 
-def _check_pursuit_args(H: np.ndarray, y_prime: np.ndarray, K: int) -> None:
-    if H.shape[0] != y_prime.shape[0]:
-        raise DimensionError(f"H has {H.shape[0]} rows but y' has length {y_prime.shape[0]}")
-    if K < 1:
-        raise ConfigurationError(f"sparsity K must be >= 1, got {K}")
-    if K > H.shape[1]:
-        raise ConfigurationError(f"sparsity K={K} exceeds the {H.shape[1]} available columns")
-
-
 def omp(H: np.ndarray, y_prime: np.ndarray, power: float, K: int, tol: float | None = None) -> RecoveryResult:
     """Orthogonal matching pursuit for at most K iterations.
 
@@ -231,18 +223,25 @@ def mmp(
     The search runs on G = A^H A with A = sqrt(P) H. The regularized solve
     with rho = noise_var / error_var is least squares on the augmented
     system A~ = [A; sqrt(rho) I] against y' padded with zeros, so one
-    kernel serves both estimators (rho = 0 for LS) and A~^H A~ = G + rho I.
-    For its residual r~ and the orthonormal basis q_1..q_k of its columns,
-    each path keeps c = A~^H r~, d_j = ||P_perp a~_j||^2, ||r~||^2 and the
-    rows A~^H q_i; with rho > 0 also R^-1 and the estimate x on the
-    support. A child (p, j) is scored before it is built: its residual
-    energy is ||r~||^2 - |c_j|^2 / d_j, minus rho ||x'||^2 (O(k^2)) to rank
-    by ||y' - A x'||^2 as a direct regularized solve would. Only the
-    children that survive the `max_paths` cut are built, each in O(n_t k).
+    kernel serves both estimators (rho = 0 for LS) and G~ = A~^H A~ = G + rho I.
+    A path keeps only its support S, its estimate x on S, R^-1 (the inverse
+    Cholesky factor of G~_SS) and its residual energy ||r~||^2; the
+    correlations c = A~^H r~ = A^H y' - G~[:, S] x of a whole layer are one
+    product with G~. A child (p, j) is scored in O(k^2) before it is built:
+    with w = R^-H G~[S, j], d_j = G~_jj - ||w||^2 = ||P_perp a~_j||^2 and
+    u = R^-1 w, its estimate is x' = [x - u c_j / d_j, c_j / d_j] and its
+    residual energy ||r~||^2 - |c_j|^2 / d_j, minus rho ||x'||^2 to rank by
+    ||y' - A x'||^2 as a direct regularized solve would. Survivors of the
+    `max_paths` cut extend R^-1 by one bordered column.
     """
     H = np.asarray(H, dtype=np.complex128)
     y_prime = np.asarray(y_prime, dtype=np.complex128)
-    _check_pursuit_args(H, y_prime, K)
+    if H.shape[0] != y_prime.shape[0]:
+        raise DimensionError(f"H has {H.shape[0]} rows but y' has length {y_prime.shape[0]}")
+    if K < 1:
+        raise ConfigurationError(f"sparsity K must be >= 1, got {K}")
+    if K > H.shape[1]:
+        raise ConfigurationError(f"sparsity K={K} exceeds the {H.shape[1]} available columns")
     if L < 1:
         raise ConfigurationError(f"branch count L must be >= 1, got {L}")
     if max_paths < 1:
@@ -263,7 +262,10 @@ def mmp(
     A = np.sqrt(power) * H
     gram = A.conj().T @ A
     gram[np.diag_indices(n_t)] += rho
+    gram_t = gram.T.copy()
     col_energy = gram.diagonal().real.copy()
+    rank_floor = _RANK_TOL * np.maximum(col_energy, 1.0)
+    c0 = A.conj().T @ y_prime
     y2 = float(np.vdot(y_prime, y_prime).real)
     tol2 = _resolve_tol(tol, float(np.linalg.norm(y_prime))) ** 2
     # The Gram-domain residual energy carries an absolute error of about
@@ -271,87 +273,83 @@ def mmp(
     # the residual of a fresh solve instead.
     exact_below = tol2 + 64 * np.finfo(float).eps * y2
 
-    # One row per path of the current layer.
+    # One row per path of the current layer: support, estimate, R^-1 and ||r~||^2.
     idx = np.zeros((1, 0), dtype=np.intp)
-    c = (A.conj().T @ y_prime)[None, :]
-    d = col_energy[None, :].copy()
-    r2 = np.array([y2])
-    V = np.zeros((0, 1, n_t), dtype=np.complex128)  # V[i, p] = A~^H q_i of path p
-    R_inv = np.zeros((1, 0, 0), dtype=np.complex128)
     x = np.zeros((1, 0), dtype=np.complex128)
-    score = r2.copy()
+    R_inv = np.zeros((1, 0, 0), dtype=np.complex128)
+    r2 = np.array([y2])
+    score = r2
 
     paths_explored = 0
     iterations = 0
     while True:
-        small = np.flatnonzero(score <= exact_below)
-        if small.size:
+        low = score.min()
+        if low <= exact_below:
             score = score.copy()  # it may share memory with r2
-            for p in small:
+            for p in np.flatnonzero(score <= exact_below):
                 score[p] = _solve(H, y_prime, power, tuple(idx[p]), estimator, error_var, noise_var)[1] ** 2
-        if iterations == K or score.min() <= tol2:
+            low = score.min()
+        if iterations == K or low <= tol2:
             break
         S, k = idx.shape
-
-        # Candidates: the top L off-support correlations of every path.
-        mag = np.abs(c) ** 2
         rows = np.arange(S)
-        mag[rows[:, None], idx] = -np.inf
+        on = (rows[:, None], idx)
+
+        # Candidates: the top L off-support |c|, c = c0 - G~ x with x over the support columns.
+        used = np.zeros(n_t, dtype=bool)
+        used[idx] = True
+        cols = used.nonzero()[0]
+        X = np.zeros((S, len(cols)), dtype=np.complex128)
+        X[on[0], cols.searchsorted(idx)] = x
+        c = c0 - X @ gram_t[cols]
+        mag = np.abs(c)
+        mag[on] = -np.inf
         width = min(L, n_t - k)
         cand = np.empty((S, width), dtype=np.intp)
         for col in range(width):
             cand[:, col] = top = mag.argmax(axis=1)
             mag[rows, top] = -np.inf
-        parent = np.repeat(rows, width)
+        # One row per candidate: w = R^-H G~[S, j], d_j = G~_jj - ||w||^2, u = R^-1 w.
+        w = np.matmul(gram[idx[:, None, :], cand[:, :, None]], R_inv.conj())
+        d = (col_energy[cand] - (np.abs(w) ** 2).sum(axis=2)).ravel()
+        u = np.matmul(w, R_inv.transpose(0, 2, 1)).reshape(S * width, k)
+        parent = rows.repeat(width)
         j = cand.ravel()
         if S > 1:
-            # lexsort is stable, so each run of equal sets starts at its first child.
+            # One bytes value per sorted child support; a stable sort puts the
+            # first child of each set at the head of its run of equals.
             keys = np.sort(np.concatenate([idx[parent], j[:, None]], axis=1), axis=1)
-            order = np.lexsort(keys.T)
-            repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
-            first = np.sort(order[np.concatenate([[True], ~repeat])])
-            parent, j = parent[first], j[first]
+            keys = keys.view(np.dtype((np.void, keys.itemsize * (k + 1)))).ravel()
+            order = keys.argsort(kind="stable")
+            run = keys[order]
+            first = np.sort(order[np.concatenate([[True], run[1:] != run[:-1]])])
+            parent, j, d, u = parent[first], j[first], d[first], u[first]
         paths_explored += len(j)
 
         # Score every child from its parent's state before building any.
-        dj = d[parent, j]
-        singular = dj <= _RANK_TOL * np.maximum(col_energy[j], 1.0)
+        singular = d <= rank_floor[j]
         if singular.any():
             p = int(np.argmax(singular))
             support = sorted(int(i) for i in (*idx[parent[p]], j[p]))
             raise SingularMatrixError(f"rank-deficient submatrix on support {support}")
-        s = np.sqrt(dj)
-        gamma = c[parent, j] / s
-        r2_child = r2[parent] - np.abs(gamma) ** 2
-        score = r2_child
-        if rho > 0:
-            u = np.matmul(R_inv[parent], V[:, parent, j].T.conj()[:, :, None])[:, :, 0]
-            x_child = np.concatenate([x[parent] - u * (gamma / s)[:, None], (gamma / s)[:, None]], axis=1)
-            score = r2_child - rho * np.sum(np.abs(x_child) ** 2, axis=1)
+        cj = c[parent, j]
+        r2_child = r2[parent] - np.abs(cj) ** 2 / d
+        step = (cj / d)[:, None]
+        x_child = np.concatenate([x[parent] - u * step, step], axis=1)
+        score = r2_child - rho * (np.abs(x_child) ** 2).sum(axis=1) if rho > 0 else r2_child
         if len(j) > max_paths:
-            keep = np.argsort(score, kind="stable")[:max_paths]
-            parent, j, s, gamma, r2_child, score = (a[keep] for a in (parent, j, s, gamma, r2_child, score))
-            if rho > 0:
-                u, x_child = u[keep], x_child[keep]
+            keep = score.argsort(kind="stable")[:max_paths]
+            parent, j, d, u, r2_child, x_child, score = (
+                a[keep] for a in (parent, j, d, u, r2_child, x_child, score)
+            )
 
-        # Build the survivors: one new basis row each, then the rank-one updates.
-        t = V[:, parent, j].T.conj()
-        grown = np.empty((k + 1, len(j), n_t), dtype=np.complex128)
-        # Indices are in range; mode="wrap" lets take write into `grown` unbuffered.
-        np.take(V, parent, axis=1, out=grown[:k], mode="wrap")
-        v = (gram[:, j].T - np.matmul(t[:, None, :], grown[:k].transpose(1, 0, 2))[:, 0]) / s[:, None]
-        grown[k] = v
-        V = grown
-        c = c[parent] - gamma[:, None] * v
-        d = d[parent] - np.abs(v) ** 2
-        r2 = r2_child
+        # Build the survivors: the bordered update of R^-1.
+        R_inv_grown = np.zeros((len(j), k + 1, k + 1), dtype=np.complex128)
+        R_inv_grown[:, :k, :k] = R_inv[parent]
+        R_inv_grown[:, k, k] = inv_s = 1.0 / np.sqrt(d)
+        R_inv_grown[:, :k, k] = u * -inv_s[:, None]
         idx = np.concatenate([idx[parent], j[:, None]], axis=1)
-        if rho > 0:
-            R_inv_grown = np.zeros((len(j), k + 1, k + 1), dtype=np.complex128)
-            R_inv_grown[:, :k, :k] = R_inv[parent]
-            R_inv_grown[:, :k, k] = -u / s[:, None]
-            R_inv_grown[:, k, k] = 1.0 / s
-            R_inv, x = R_inv_grown, x_child
+        R_inv, x, r2 = R_inv_grown, x_child, r2_child
         iterations += 1
 
     best = int(np.argmin(score))

@@ -16,7 +16,7 @@ from psed import (
     transmit,
     weight_matrix,
 )
-from tests.conftest import orthonormal_columns, seeded_channel
+from tests.conftest import complex_noise, orthonormal_columns, seeded_channel
 
 
 class TestWeightMatrix:
@@ -59,6 +59,15 @@ class TestWeightMatrix:
         with pytest.raises(DomainError, match="^H "):
             weight_matrix(H, kind, 1.0, 0.1)
 
+    @pytest.mark.parametrize("seed", range(13))
+    def test_lmmse_singular_gram_raises(self, seed):
+        # A duplicated column with no noise leaves H^H H + (noise_var/P) I singular.
+        H = seeded_channel(8, 8, seed=seed)
+        H[:, 5] = H[:, 2]
+        with pytest.raises(SingularMatrixError, match="LMMSE"):
+            weight_matrix(H, "LMMSE", 1.0, 0.0)
+        weight_matrix(H, "LMMSE", 1.0, 0.1)  # regularised: invertible
+
     def test_unknown_kind_rejected(self):
         from psed import ConfigurationError
 
@@ -69,8 +78,10 @@ class TestWeightMatrix:
 class TestDetect:
     def test_identity_weights(self):
         y = np.arange(6) + 1j * np.arange(6)
-        out = detect(WeightMatrix("MF", np.eye(6, dtype=np.complex128)), y)
-        np.testing.assert_array_equal(out, y)
+        W = np.eye(6, dtype=np.complex128)
+        weights = WeightMatrix("MF", W)
+        assert weights.W is W  # held as given
+        np.testing.assert_array_equal(detect(weights, y), y)
 
     def test_noiseless_zf_recovers_symbols(self, qpsk):
         H = seeded_channel(12, 8, seed=5)
@@ -100,6 +111,28 @@ class TestDetect:
         lhs = detect(W, a * y1 + y2)
         rhs = a * detect(W, y1) + detect(W, y2)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def push_through(H, kind, power, noise_var):
+    """The weights written out independently: H / sqrt(P), or (H H^H + noise_var/P I)^-1 H."""
+    if kind == "MF":
+        return H / np.sqrt(power)
+    return np.linalg.solve(H @ H.conj().T + (noise_var / power) * np.eye(H.shape[0]), H)
+
+
+class TestGramHeldWeights:
+    @pytest.mark.parametrize("kind", ["MF", "LMMSE"])
+    @pytest.mark.parametrize("n_r, n_t", [(32, 32), (64, 32), (32, 64)])
+    def test_detect_and_W_match_push_through(self, kind, n_r, n_t):
+        H = seeded_channel(n_r, n_t, seed=n_r + n_t)
+        y = complex_noise(n_r, seed=n_r + n_t)
+        W_ref = push_through(H, kind, 1.5, 0.2)
+        expected = W_ref.conj().T @ y
+        weights = weight_matrix(H, kind, 1.5, 0.2)
+        before = detect(weights, y)
+        assert np.linalg.norm(before - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert np.linalg.norm(weights.W - W_ref) <= 1e-10 * np.linalg.norm(W_ref)
+        np.testing.assert_array_equal(detect(weights, y), before)
 
 
 class TestResidualStreamVariance:

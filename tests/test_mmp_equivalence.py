@@ -63,12 +63,22 @@ def assert_same_search(H, y, K, **kwargs):
     np.testing.assert_allclose(got.e_hat, e_hat, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("n, K", [(16, 3), (32, 4)])
-def test_matches_reference_on_noisy_instances(n, K):
+@pytest.mark.parametrize(
+    "n_r, n_t, K, seeds",
+    [
+        pytest.param(16, 16, 3, 200, id="16-3"),
+        pytest.param(32, 32, 4, 200, id="32-4"),
+        pytest.param(64, 64, 9, 60, id="64-9"),
+        pytest.param(64, 32, 4, 60, id="64x32-4"),
+        pytest.param(32, 48, 7, 60, id="32x48-7"),
+        pytest.param(128, 128, 19, 6, id="128-19"),
+    ],
+)
+def test_matches_reference_on_noisy_instances(n_r, n_t, K, seeds):
     # Seeds cycle through L in {2, 3}, both estimators and a max_paths = 4 cut.
-    for seed in range(200):
-        H = seeded_channel(n, n, seed=5000 + seed)
-        y = H @ random_sparse(n, K, seed=5000 + seed) + complex_noise(n, seed=5000 + seed, scale=0.2)
+    for seed in range(seeds):
+        H = seeded_channel(n_r, n_t, seed=5000 + seed)
+        y = H @ random_sparse(n_t, K, seed=5000 + seed) + complex_noise(n_r, seed=5000 + seed, scale=0.2)
         assert_same_search(
             H,
             y,

@@ -156,6 +156,15 @@ class TestPsedDetect:
         with pytest.raises(DomainError, match=f"^{field} "):
             psed_detect(complex_noise(8, seed=11), args["H"], 1.0, args["noise_var"], qpsk, PsedConfig())
 
+    @pytest.mark.parametrize("seed", range(13))
+    def test_singular_lmmse_front_end_raises(self, qpsk, seed):
+        # Noiseless y = H s with a duplicated column: the LMMSE Gram is singular.
+        H = seeded_channel(8, 8, seed=seed)
+        H[:, 5] = H[:, 2]
+        s = draw_symbols(qpsk, 8, rng_stream(seed, "symbols"))
+        with pytest.raises(SingularMatrixError):
+            psed_detect(H @ s, H, 1.0, 0.0, qpsk, PsedConfig(sparsity=2))
+
     def test_lmmse_estimator_selectable(self, qpsk):
         H = seeded_channel(16, 16, seed=9)
         s = draw_symbols(qpsk, 16, rng_stream(9, "symbols"))
