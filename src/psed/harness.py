@@ -1,9 +1,12 @@
 """Monte Carlo sweep engine and CSV round-tripping.
 
-Each (detector, SNR) cell runs independent trials with fresh channel,
-symbols, and noise drawn from substreams keyed by (master_seed, purpose,
-trial index), so results are bit-identical for a fixed master seed no
-matter how trials are scheduled across workers.
+Sweeps run trial-major: each trial draws its channel, symbols and noise
+from substreams keyed by (master_seed, purpose, trial index) and runs
+through every (detector, SNR) cell, so every cell sees the same instance
+at a given trial index and results are bit-identical for a fixed master
+seed no matter how trials are scheduled across workers. A linear detector
+swept next to its PSED refinement takes its row from the refinement's
+first stage instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import numpy as np
 
 from . import analysis, baselines, linear_detectors, model, pipeline
 from .errors import ConfigurationError, PsedError
-from .model import db_to_linear, draw_symbols, generate_channel, make_constellation, rng_stream, transmit
+from .model import db_to_linear, make_constellation, rng_stream
 from .pipeline import PsedConfig
-from .slicer import hard_slice
+from .slicer import HARD, hard_slice
 
 POWER = 1.0  # transmit power is pinned; SNR is swept through the noise variance
 
@@ -110,92 +113,84 @@ class SweepResult:
         return any(r.mse_conv_asymptotic is not None for r in self.rows)
 
 
-def _run_trial(
-    config: SweepConfig, detector: str, noise_var: float, trial: int
-) -> tuple[int, float, bool]:
-    """One independent instance; returns (symbol errors, squared error, flagged)."""
+def _score(s, decided, estimate, flagged: bool = False) -> tuple[int, float, bool]:
+    """(symbol errors, squared error per stream, flagged) of one detector on one instance."""
+    return int(np.count_nonzero(decided != s)), float(np.sum(np.abs(s - estimate) ** 2)) / s.size, flagged
+
+
+def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]:
+    """One instance through every (detector, SNR) cell; (errors, squared error, flagged) per row.
+
+    H and s are drawn once, and every SNR's `transmit` draws the trial's unit
+    noise from the same substream, so each cell sees the observation it would
+    see in a sweep of its own. When PSED-X and X are both swept, X's row is
+    read off PSED-X's first stage: the same weights, filter output and hard slice.
+    """
     constellation = make_constellation(config.constellation)
     seed = config.master_seed
-    H = generate_channel(config.n_r, config.n_t, rng_stream(seed, "channel", trial))
-    s = draw_symbols(constellation, config.n_t, rng_stream(seed, "symbols", trial))
-    inst = transmit(H, s, POWER, noise_var, rng_stream(seed, "noise", trial))
+    H = model.generate_channel(config.n_r, config.n_t, rng_stream(seed, "channel", trial))
+    s = model.draw_symbols(constellation, config.n_t, rng_stream(seed, "symbols", trial))
+    psed_configs = {
+        detector: dataclasses.replace(config.psed, base_detector=base)
+        for detector, base in ((PSED_MF, MF), (PSED_LMMSE, LMMSE))
+        if detector in config.detectors
+    }
+    noise = rng_stream(seed, "noise", trial)
+    noise_start = noise.bit_generator.state
+    per_snr = []
+    for snr_db in config.snr_db_grid:
+        noise_var = POWER / db_to_linear(snr_db)
+        noise.bit_generator.state = noise_start  # rewound: every SNR draws the trial's unit noise
+        y = model.transmit(H, s, POWER, noise_var, noise).y
+        cell = {}
+        for detector, psed_cfg in psed_configs.items():
+            out = pipeline.psed_detect(y, H, POWER, noise_var, constellation, psed_cfg)
+            cell[detector] = _score(s, out.s_final.values, out.s_doublehat, out.recovery_failed)
+            if psed_cfg.base_detector in config.detectors:
+                first = out.s_hat if out.s_hat.mode == HARD else hard_slice(out.s_tilde, constellation)
+                cell[psed_cfg.base_detector] = _score(s, first.values, out.s_tilde)
+        for detector in config.detectors:
+            if detector in cell:
+                continue
+            if detector in (MF, LMMSE):
+                weights = linear_detectors.weight_matrix(H, detector, POWER, noise_var)
+                estimate = linear_detectors.detect(weights, y)
+                decided = hard_slice(estimate, constellation).values
+            elif detector == KBEST:
+                decided = estimate = baselines.kbest_detect(y, H, POWER, constellation, config.kbest_m)
+            else:
+                decided = estimate = baselines.ml_detect(y, H, POWER, constellation)
+            cell[detector] = _score(s, decided, estimate)
+        per_snr.append(cell)
+    return [cell[detector] for detector in config.detectors for cell in per_snr]
 
-    flagged = False
-    if detector in (MF, LMMSE):
-        weights = linear_detectors.weight_matrix(H, detector, POWER, noise_var)
-        s_tilde = linear_detectors.detect(weights, inst.y)
-        decided = hard_slice(s_tilde, constellation).values
-        sq_err = float(np.sum(np.abs(s - s_tilde) ** 2)) / config.n_t
-    elif detector in (PSED_MF, PSED_LMMSE):
-        base = MF if detector == PSED_MF else LMMSE
-        psed_cfg = dataclasses.replace(config.psed, base_detector=base)
-        out = pipeline.psed_detect(inst.y, H, POWER, noise_var, constellation, psed_cfg)
-        decided = out.s_final.values
-        sq_err = float(np.sum(np.abs(s - out.s_doublehat) ** 2)) / config.n_t
-        flagged = out.recovery_failed
-    elif detector == KBEST:
-        decided = baselines.kbest_detect(inst.y, H, POWER, constellation, config.kbest_m)
-        sq_err = float(np.sum(np.abs(s - decided) ** 2)) / config.n_t
-    elif detector == ML:
-        decided = baselines.ml_detect(inst.y, H, POWER, constellation)
-        sq_err = float(np.sum(np.abs(s - decided) ** 2)) / config.n_t
-    else:
-        raise ConfigurationError(f"unknown detector {detector!r}")
 
-    errors = int(np.sum(decided != s))
-    return errors, sq_err, flagged
-
-
-def _run_chunk(
-    config: SweepConfig, detector: str, noise_var: float, start: int, stop: int
-) -> list[tuple[int, int, float, bool]]:
-    return [
-        (t, *_run_trial(config, detector, noise_var, t)) for t in range(start, stop)
-    ]
-
-
-def _aggregate(config: SweepConfig, outcomes) -> tuple[int, float, list[int]]:
+def _aggregate(outcomes) -> tuple[int, float, list[int]]:
     """Fold one cell's per-trial outcomes, in trial order, into (errors, mse, flagged trials)."""
-    errors = np.zeros(config.trials, dtype=np.int64)
-    sq_errs = np.zeros(config.trials)
-    flagged: list[int] = []
-    for t, e, sq, fl in outcomes:
-        errors[t], sq_errs[t] = e, sq
-        if fl:
-            flagged.append(t)
-    return int(errors.sum()), float(sq_errs.mean()), sorted(flagged)
+    errors, sq_errs, flagged = zip(*outcomes)
+    return int(np.sum(errors)), float(np.mean(sq_errs)), [t for t, fl in enumerate(flagged) if fl]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """SER/MSE sweep over the (detector, SNR) grid.
 
-    With workers > 1 one process pool serves every cell: all trial chunks
-    are submitted up front and folded back per cell in trial order.
+    With workers > 1 one process pool runs chunks of trials, each trial
+    through every cell, and returns them in trial order.
     """
     config.validate()
-    cells = [
-        (detector, float(snr_db), POWER / db_to_linear(snr_db))
-        for detector in config.detectors
-        for snr_db in config.snr_db_grid
-    ]
+    trials = range(config.trials)
     if config.workers == 1:
-        outcomes = [
-            _run_chunk(config, detector, noise_var, 0, config.trials) for detector, _, noise_var in cells
-        ]
+        per_trial = [_run_trial(config, t) for t in trials]
     else:
         chunk = max(1, math.ceil(config.trials / (config.workers * 4)))
-        spans = [(s, min(s + chunk, config.trials)) for s in range(0, config.trials, chunk)]
         with ProcessPoolExecutor(max_workers=config.workers, mp_context=get_context("spawn")) as pool:
-            futures = [
-                [pool.submit(_run_chunk, config, detector, noise_var, a, b) for a, b in spans]
-                for detector, _, noise_var in cells
-            ]
-            outcomes = [[o for fut in cell for o in fut.result()] for cell in futures]
+            per_trial = list(pool.map(_run_trial, [config] * config.trials, trials, chunksize=chunk))
 
+    cells = [(detector, float(snr_db)) for detector in config.detectors for snr_db in config.snr_db_grid]
     rows = []
     flagged_all = []
-    for (detector, snr_db, _), cell in zip(cells, outcomes):
-        total_errors, mse, flagged = _aggregate(config, cell)
+    for (detector, snr_db), cell in zip(cells, zip(*per_trial)):
+        total_errors, mse, flagged = _aggregate(cell)
         rows.append(
             SweepRow(
                 detector=detector,

@@ -19,6 +19,8 @@ from psed.harness import SweepResult, SweepRow, snr_at_ser
 from psed.pipeline import PsedConfig
 from psed import pipeline as pipeline_module
 
+FIVE_DETECTORS = ("MF", "LMMSE", "PSED-MF", "PSED-LMMSE", "KBEST")
+
 
 def tiny_config(**overrides) -> SweepConfig:
     base = dict(
@@ -66,6 +68,31 @@ class TestRunSweep:
         serial = run_sweep(tiny_config(trials=12))
         parallel = run_sweep(tiny_config(trials=12, workers=2))
         assert serial.rows == parallel.rows
+
+    def test_workers_do_not_change_csv_across_uneven_trial_chunks(self, tmp_path):
+        # 13 trials over 2 workers: chunks of 2 with a last chunk of 1
+        cfg = tiny_config(detectors=FIVE_DETECTORS, trials=13, kbest_m=4)
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        emit_csv(run_sweep(cfg), serial)
+        emit_csv(run_sweep(dataclasses.replace(cfg, workers=2)), parallel)
+        assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("slicer_mode", ["HARD", "SOFT"])
+    def test_rows_equal_those_of_a_sweep_holding_the_detector_alone(self, slicer_mode):
+        # MF and LMMSE rows are read off PSED-MF and PSED-LMMSE's first stage;
+        # with SOFT slicing that stage's slice is not the linear detector's decision.
+        grid = (4.0, 8.0, 14.0)
+        cfg = tiny_config(
+            detectors=FIVE_DETECTORS,
+            snr_db_grid=grid,
+            trials=15,
+            kbest_m=4,
+            psed=PsedConfig(tol=0.0, sparsity=2, slicer_mode=slicer_mode),
+        )
+        rows = {(r.detector, r.snr_db): r for r in run_sweep(cfg).rows}
+        for detector in ("MF", "LMMSE", "KBEST"):
+            alone = run_sweep(dataclasses.replace(cfg, detectors=(detector,)))
+            assert alone.rows == tuple(rows[detector, snr] for snr in grid)
 
     def test_ml_dimension_guard_fires_before_any_trial(self):
         with pytest.raises(ConfigurationError, match="ML"):
