@@ -50,7 +50,7 @@ from .model import (
     transmit,
 )
 from .pipeline import DetectorOutput, PsedConfig, psed_detect, sparse_transform
-from .slicer import SlicedVector, hard_slice, soft_slice
+from .slicer import SlicedVector, hard_slice
 from .sparse_recovery import (
     RecoveryResult,
     SupportSet,

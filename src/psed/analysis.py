@@ -15,16 +15,15 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DomainError
+from .errors import CapacityError, ConfigurationError, DimensionError, DomainError, require_finite
+from .linear_detectors import DETECTOR_KINDS, LMMSE
+from .pipeline import PSED_NAMES
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
 SAMPLED_SUPPORT_COUNT = 10**4
 
-MF = "MF"
-LMMSE = "LMMSE"
-PSED_MF = "PSED-MF"
-PSED_LMMSE = "PSED-LMMSE"
-COMPLEXITY_DETECTORS = (MF, PSED_MF, LMMSE, PSED_LMMSE)
+# Each linear detector, then its PSED refinement: the rows of the paper's complexity table.
+COMPLEXITY_DETECTORS = tuple(name for base in DETECTOR_KINDS for name in (base, PSED_NAMES[base]))
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +66,9 @@ def rip_constant(
     lower bound flagged non-exhaustive.
     """
     H = np.asarray(H, dtype=np.complex128)
+    if H.ndim != 2:
+        raise DimensionError(f"H must be a 2-D matrix, got shape {H.shape}")
+    require_finite(H=H)
     n_t = H.shape[1]
     if not 1 <= K <= n_t:
         raise ConfigurationError(f"K must be in [1, {n_t}], got {K}")
@@ -314,7 +316,7 @@ def complexity_count(
         )
     if n_r < 1 or n_t < 1:
         raise ConfigurationError(f"dimensions must be >= 1, got ({n_r}, {n_t})")
-    is_psed = detector in (PSED_MF, PSED_LMMSE)
+    is_psed = detector in PSED_NAMES.values()
     if is_psed:
         if K is None or L is None:
             raise ConfigurationError(f"{detector} requires K and L")
@@ -323,7 +325,7 @@ def complexity_count(
         if L < 1:
             raise ConfigurationError(f"L must be >= 1, got {L}")
 
-    lmmse_weights = detector in (LMMSE, PSED_LMMSE)
+    lmmse_weights = detector in (LMMSE, PSED_NAMES[LMMSE])
     rows = {
         "filter_weight_generation": 2 * n_r * n_t**2 + inversion_multiplications(n_t) if lmmse_weights else 0,
         "filtering": n_r * n_t,

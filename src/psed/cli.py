@@ -15,30 +15,12 @@ import sys
 import numpy as np
 
 from . import analysis, harness, model
-from .errors import CapacityError, ConfigurationError, DomainError, SingularMatrixError
+from .errors import CapacityError, ConfigurationError, DimensionError, DomainError, SingularMatrixError
 from .harness import SweepConfig
-from .pipeline import PsedConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-CONFIG_KEYS = (
-    "n_r",
-    "n_t",
-    "constellation",
-    "detectors",
-    "snr_db_grid",
-    "trials",
-    "master_seed",
-    "psed.K",
-    "psed.L",
-    "psed.estimator",
-    "psed.max_paths",
-    "kbest.m",
-    "workers",
-    "output",
-)
 
 # Sweep presets at desk scale; square256 is long-running and opt-in.
 PRESETS = {
@@ -49,6 +31,38 @@ PRESETS = {
     "tall48x32": {"n_r": 48, "n_t": 32, "trials": 10000, "snr_db_grid": "0,2,4,6,8,10,12,14"},
     "tall64x32": {"n_r": 64, "n_t": 32, "trials": 10000, "snr_db_grid": "0,2,4,6,8,10,12,14"},
     "tall128x32": {"n_r": 128, "n_t": 32, "trials": 10000, "snr_db_grid": "0,2,4,6,8,10,12,14"},
+}
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+
+
+def _parse_detectors(text: str) -> tuple[str, ...]:
+    return tuple(part.strip().upper() for part in text.split(",") if part.strip())
+
+
+# Every sweep key: the SweepConfig field it sets ("psed.<field>" for a PsedConfig
+# field), the parser of its text value, and its flag help. A key not given takes
+# the dataclass default.
+CONFIG_KEYS = {
+    "n_r": ("n_r", int, "receive dimension"),
+    "n_t": ("n_t", int, "transmit dimension"),
+    "constellation": ("constellation", str.upper, "BPSK or QPSK"),
+    "detectors": ("detectors", _parse_detectors, "comma-separated detector list"),
+    "snr_db_grid": ("snr_db_grid", _parse_float_list, "comma-separated SNR grid in dB"),
+    "trials": ("trials", int, "Monte Carlo trials per (detector, SNR) cell"),
+    "master_seed": ("master_seed", int, "seed of all trial substreams"),
+    "psed.K": ("psed.sparsity", int, "recovery sparsity budget"),
+    "psed.L": ("psed.branch", int, "children per search path"),
+    "psed.estimator": ("psed.estimator", str.upper, "LS or LMMSE support-restricted estimator"),
+    "psed.max_paths": ("psed.max_paths", int, "path cap per search layer"),
+    "kbest.m": ("kbest_m", int, "K-best survivors per layer"),
+    "workers": ("workers", int, "parallel worker processes"),
+    "output": ("output", str, "CSV output path"),
 }
 
 
@@ -73,17 +87,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"expected a comma-separated list of numbers, got {text!r}") from exc
-
-
-def _parse_detectors(text: str) -> tuple[str, ...]:
-    return tuple(part.strip().upper() for part in text.split(",") if part.strip())
-
-
 def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
     """Merge defaults, preset, config file, and CLI flags (in that order)."""
     values: dict[str, str] = {}
@@ -93,45 +96,17 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
         values.update({k: str(v) for k, v in PRESETS[args.preset].items()})
     if args.config:
         values.update(parse_config_file(args.config))
-    flag_map = {
-        "n_r": args.n_r,
-        "n_t": args.n_t,
-        "constellation": args.constellation,
-        "detectors": args.detectors,
-        "snr_db_grid": args.snr_db_grid,
-        "trials": args.trials,
-        "master_seed": args.master_seed,
-        "psed.K": args.psed_K,
-        "psed.L": args.psed_L,
-        "psed.estimator": args.psed_estimator,
-        "psed.max_paths": args.psed_max_paths,
-        "kbest.m": args.kbest_m,
-        "workers": args.workers,
-        "output": args.output,
-    }
-    values.update({k: str(v) for k, v in flag_map.items() if v is not None})
+    values.update({key: flag for key in CONFIG_KEYS if (flag := getattr(args, key)) is not None})
 
+    fields: dict[str, object] = {}
+    psed_fields: dict[str, object] = {}
     try:
-        psed = PsedConfig(
-            sparsity=int(values["psed.K"]) if "psed.K" in values else None,
-            branch=int(values.get("psed.L", 2)),
-            estimator=values.get("psed.estimator", "LS").upper(),
-            max_paths=int(values.get("psed.max_paths", 64)),
-            tol=0.0,
-        )
-        config = SweepConfig(
-            n_r=int(values.get("n_r", 32)),
-            n_t=int(values.get("n_t", 32)),
-            constellation=values.get("constellation", model.QPSK).upper(),
-            detectors=_parse_detectors(values.get("detectors", "LMMSE,PSED-LMMSE")),
-            snr_db_grid=_parse_float_list(values.get("snr_db_grid", "6,8,10,12,14,16,18,20")),
-            trials=int(values.get("trials", 1000)),
-            master_seed=int(values.get("master_seed", 1)),
-            psed=psed,
-            kbest_m=int(values.get("kbest.m", 15)),
-            output=values.get("output"),
-            workers=int(values.get("workers", 1)),
-        )
+        for key, text in values.items():
+            target, parse, _ = CONFIG_KEYS[key]
+            group, _, name = target.rpartition(".")
+            (psed_fields if group else fields)[name] = parse(text)
+        default = SweepConfig()
+        config = dataclasses.replace(default, psed=dataclasses.replace(default.psed, **psed_fields), **fields)
     except ValueError as exc:
         raise ConfigurationError(f"bad configuration value: {exc}") from exc
     config.validate()
@@ -141,20 +116,8 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--preset", help=f"named parameter preset: {', '.join(sorted(PRESETS))}")
-    parser.add_argument("--n_r", type=int)
-    parser.add_argument("--n_t", type=int)
-    parser.add_argument("--constellation")
-    parser.add_argument("--detectors", help="comma-separated detector list")
-    parser.add_argument("--snr_db_grid", help="comma-separated SNR grid in dB")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--master_seed", type=int)
-    parser.add_argument("--psed.K", dest="psed_K", type=int)
-    parser.add_argument("--psed.L", dest="psed_L", type=int)
-    parser.add_argument("--psed.estimator", dest="psed_estimator")
-    parser.add_argument("--psed.max_paths", dest="psed_max_paths", type=int)
-    parser.add_argument("--kbest.m", dest="kbest_m", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--output", help="CSV output path")
+    for key, (_, _, help_text) in CONFIG_KEYS.items():
+        parser.add_argument(f"--{key}", dest=key, help=help_text)
 
 
 def _write_flagged_log(config_output: str | None, flagged, error: str | None = None) -> str:
@@ -231,7 +194,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_rip(args: argparse.Namespace) -> int:
     if args.matrix:
-        H = np.load(args.matrix)
+        try:
+            H = np.load(args.matrix)
+        except (OSError, ValueError, EOFError) as exc:
+            raise ConfigurationError(f"cannot load matrix {args.matrix}: {exc}") from exc
+        if not isinstance(H, np.ndarray) or H.dtype.kind not in "biufc":
+            raise ConfigurationError(f"{args.matrix} does not hold one numeric array")
     else:
         H = model.generate_channel(args.n_r, args.n_t, model.rng_stream(args.seed, "channel"))
     estimate = analysis.rip_constant(H, args.K, method=args.method)
@@ -267,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--n_t", type=int, required=True)
     comp.add_argument("--K", type=int)
     comp.add_argument("--L", type=int)
-    comp.add_argument("--detectors", help="comma-separated subset of MF,PSED-MF,LMMSE,PSED-LMMSE")
+    comp.add_argument(
+        "--detectors", help=f"comma-separated subset of {','.join(analysis.COMPLEXITY_DETECTORS)}"
+    )
     comp.add_argument("--output")
 
     ana = sub.add_parser("analyze", help="closed-form SINR/SER/MSE curves over an SNR grid")
@@ -301,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rip":
             return _cmd_rip(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, CapacityError, DomainError) as exc:
+    except (ConfigurationError, CapacityError, DimensionError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError) as exc:

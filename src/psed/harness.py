@@ -21,16 +21,15 @@ import numpy as np
 
 from . import analysis, baselines, linear_detectors, model, pipeline
 from .errors import ConfigurationError, PsedError
+from .linear_detectors import LMMSE, MF
 from .model import db_to_linear, make_constellation, rng_stream
-from .pipeline import PsedConfig
-from .slicer import HARD, hard_slice
+from .pipeline import PSED_NAMES, PsedConfig
+from .slicer import hard_slice
 
 POWER = 1.0  # transmit power is pinned; SNR is swept through the noise variance
 
-MF = "MF"
-LMMSE = "LMMSE"
-PSED_MF = "PSED-MF"
-PSED_LMMSE = "PSED-LMMSE"
+PSED_MF = PSED_NAMES[MF]
+PSED_LMMSE = PSED_NAMES[LMMSE]
 KBEST = "KBEST"
 ML = "ML"
 SWEEP_DETECTORS = (MF, LMMSE, PSED_MF, PSED_LMMSE, KBEST, ML)
@@ -132,7 +131,7 @@ def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]
     s = model.draw_symbols(constellation, config.n_t, rng_stream(seed, "symbols", trial))
     psed_configs = {
         detector: dataclasses.replace(config.psed, base_detector=base)
-        for detector, base in ((PSED_MF, MF), (PSED_LMMSE, LMMSE))
+        for base, detector in PSED_NAMES.items()
         if detector in config.detectors
     }
     noise = rng_stream(seed, "noise", trial)
@@ -147,12 +146,11 @@ def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]
             out = pipeline.psed_detect(y, H, POWER, noise_var, constellation, psed_cfg)
             cell[detector] = _score(s, out.s_final.values, out.s_doublehat, out.recovery_failed)
             if psed_cfg.base_detector in config.detectors:
-                first = out.s_hat if out.s_hat.mode == HARD else hard_slice(out.s_tilde, constellation)
-                cell[psed_cfg.base_detector] = _score(s, first.values, out.s_tilde)
+                cell[psed_cfg.base_detector] = _score(s, out.s_hat.values, out.s_tilde)
         for detector in config.detectors:
             if detector in cell:
                 continue
-            if detector in (MF, LMMSE):
+            if detector in linear_detectors.DETECTOR_KINDS:
                 weights = linear_detectors.weight_matrix(H, detector, POWER, noise_var)
                 estimate = linear_detectors.detect(weights, y)
                 decided = hard_slice(estimate, constellation).values

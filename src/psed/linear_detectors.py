@@ -1,4 +1,4 @@
-"""MF / ZF / LMMSE weight matrices and soft linear detection."""
+"""MF and LMMSE weight matrices and linear detection: s_tilde = W^H y."""
 
 from __future__ import annotations
 
@@ -7,10 +7,9 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite
 
 MF = "MF"
-ZF = "ZF"
 LMMSE = "LMMSE"
 
-DETECTOR_KINDS = (MF, ZF, LMMSE)
+DETECTOR_KINDS = (MF, LMMSE)
 
 _COND_LIMIT = 1e12
 
@@ -18,7 +17,7 @@ _COND_LIMIT = 1e12
 class WeightMatrix:
     """Linear detector weights W; the estimate is s_tilde = W^H y.
 
-    `WeightMatrix(kind, W)` holds W itself, as MF and ZF weights do. LMMSE
+    `WeightMatrix(kind, W)` holds W itself, as MF weights do. LMMSE
     weights from `weight_matrix` hold H and the regularised Gram
     G = H^H H + (noise_var / P) I instead: `detect` solves G s_tilde = H^H y
     (one right-hand side), and W = H G^-1 is formed, with n_r right-hand
@@ -53,25 +52,16 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
     """Build the weight matrix for one of the conventional linear detectors.
 
     MF:    W = H / sqrt(P)
-    ZF:    W = H (H^H H)^-1 / sqrt(P)
     LMMSE: W = H (H^H H + (noise_var / P) I)^-1, held as H and that Gram
 
-    A non-finite H or noise_var raises DomainError; a ZF or LMMSE Gram
-    with condition number above 1e12 raises SingularMatrixError.
+    A non-finite H or noise_var raises DomainError; an LMMSE Gram with
+    condition number above 1e12 raises SingularMatrixError.
     """
     H = np.asarray(H, dtype=np.complex128)
     require_finite(H=H, noise_var=noise_var)
     sqrt_p = np.sqrt(power)
     if kind == MF:
         return WeightMatrix(kind, H / sqrt_p)
-    if kind == ZF:
-        gram = H.conj().T @ H
-        if np.linalg.cond(gram) > _COND_LIMIT:
-            raise SingularMatrixError(
-                f"ZF weight matrix: H^H H is numerically singular "
-                f"(condition number above {_COND_LIMIT:g})"
-            )
-        return WeightMatrix(kind, H @ np.linalg.inv(gram) / sqrt_p)
     if kind == LMMSE:
         gram = H.conj().T @ H
         h2 = gram.trace().real  # ||H||_F^2

@@ -22,19 +22,25 @@ from .sparse_recovery import RecoveryResult, SupportSet
 DEFAULT_SPARSITY_FRACTION = 0.15
 
 
+# The PSED refinement of each base detector, and the name it is swept under.
+PSED_NAMES = {linear_detectors.MF: "PSED-MF", linear_detectors.LMMSE: "PSED-LMMSE"}
+
+
 @dataclass(frozen=True)
 class PsedConfig:
     """Knobs for the refinement pipeline.
 
-    ``sparsity`` of None selects floor(0.15 n_t) when the config is bound
-    to a system; ``tol`` of None selects the relative noiseless stopping
-    rule 1e-9 ||y'||, while Monte Carlo sweeps pass 0.0 to force exactly
-    K recovery iterations. ``error_var`` (only used by the LMMSE
-    estimator) defaults to the squared minimum constellation distance.
+    ``base_detector`` is the step-1 front end, one of the keys of
+    PSED_NAMES (MF or LMMSE); step 2 always slices hard, so the error
+    vector of step 3 is sparse. ``sparsity`` of None selects
+    floor(0.15 n_t) when the config is bound to a system; ``tol`` of None
+    selects the relative noiseless stopping rule 1e-9 ||y'||, while Monte
+    Carlo sweeps pass 0.0 to force exactly K recovery iterations.
+    ``error_var`` (only read by the LMMSE estimator) defaults to the
+    squared minimum constellation distance.
     """
 
     base_detector: str = linear_detectors.LMMSE
-    slicer_mode: str = slicer.HARD
     sparsity: int | None = None
     branch: int = 2
     estimator: str = sparse_recovery.LS
@@ -43,12 +49,10 @@ class PsedConfig:
     error_var: float | None = None
 
     def __post_init__(self):
-        if self.base_detector not in (linear_detectors.MF, linear_detectors.LMMSE):
+        if self.base_detector not in PSED_NAMES:
             raise ConfigurationError(
-                f"base detector must be MF or LMMSE, got {self.base_detector!r}"
+                f"base detector must be one of {tuple(PSED_NAMES)}, got {self.base_detector!r}"
             )
-        if self.slicer_mode not in (slicer.HARD, slicer.SOFT):
-            raise ConfigurationError(f"slicer mode must be HARD or SOFT, got {self.slicer_mode!r}")
         if self.sparsity is not None and self.sparsity < 1:
             raise ConfigurationError(f"sparsity must be >= 1, got {self.sparsity}")
         if self.branch < 1:
@@ -98,29 +102,6 @@ def sparse_transform(y: np.ndarray, H: np.ndarray, s_hat: np.ndarray, power: flo
     return y - np.sqrt(power) * (H @ s_hat)
 
 
-def _slice_step(
-    s_tilde: np.ndarray,
-    H: np.ndarray,
-    weights: linear_detectors.WeightMatrix,
-    power: float,
-    noise_var: float,
-    constellation: Constellation,
-    mode: str,
-) -> SlicedVector:
-    if mode == slicer.HARD:
-        return slicer.hard_slice(s_tilde, constellation)
-    # Posterior-mean slicing with uniform priors, per-stream gain and variance.
-    n_t = H.shape[1]
-    priors = np.full(len(constellation), 1.0 / len(constellation))
-    values = np.empty(n_t, dtype=np.complex128)
-    W = weights.W  # LMMSE weights form W on every read
-    for i in range(n_t):
-        gain = np.sqrt(power) * complex(W[:, i].conj() @ H[:, i])
-        var_i = max(linear_detectors.residual_stream_variance(H, W, power, noise_var, i), 1e-30)
-        values[i] = slicer.soft_slice(complex(s_tilde[i]), constellation, priors, gain, var_i)
-    return SlicedVector(values=values, mode=slicer.SOFT)
-
-
 def psed_detect(
     y: np.ndarray,
     H: np.ndarray,
@@ -142,9 +123,12 @@ def psed_detect(
 
     weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var)
     s_tilde = linear_detectors.detect(weights, y)
-    s_hat = _slice_step(s_tilde, H, weights, power, noise_var, constellation, config.slicer_mode)
+    s_hat = slicer.hard_slice(s_tilde, constellation)
     y_prime = sparse_transform(y, H, s_hat.values, power)
 
+    error_var = config.error_var
+    if error_var is None and config.estimator == sparse_recovery.LMMSE:
+        error_var = constellation.min_distance**2
     recovery_failed = False
     try:
         recovery = sparse_recovery.mmp(
@@ -156,11 +140,7 @@ def psed_detect(
             tol=config.tol,
             max_paths=config.max_paths,
             estimator=config.estimator,
-            error_var=(
-                config.error_var
-                if config.error_var is not None
-                else constellation.min_distance**2
-            ),
+            error_var=error_var,
             noise_var=noise_var,
         )
     except SingularMatrixError:

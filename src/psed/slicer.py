@@ -1,79 +1,31 @@
-"""Hard and soft (posterior-mean) symbol slicing."""
+"""Hard symbol slicing: every entry maps to its nearest constellation point."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import require_finite
 from .model import Constellation
-
-HARD = "HARD"
-SOFT = "SOFT"
-
-
-class SoftSliceUnderflowWarning(RuntimeWarning):
-    """All posterior weights vanished; a hard-slice fallback was returned."""
 
 
 @dataclass(frozen=True)
 class SlicedVector:
-    """Slicer output: in HARD mode every entry is a constellation point."""
+    """Slicer output: every entry is a constellation point."""
 
     values: np.ndarray = field(repr=False)
-    mode: str = HARD
 
 
 def hard_slice(values: np.ndarray | complex, constellation: Constellation) -> SlicedVector:
     """Map each entry to the nearest constellation point.
 
     Ties are broken toward the lowest constellation index, so the result is
-    deterministic even on decision boundaries.
+    deterministic even on decision boundaries. A NaN or infinite entry has
+    no nearest point and raises DomainError.
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    require_finite(values=values)
     dist = np.abs(values[:, None] - constellation.points[None, :])
     idx = np.argmin(dist, axis=1)  # argmin returns the first (lowest) index on ties
-    return SlicedVector(values=constellation.points[idx], mode=HARD)
-
-
-def soft_slice(
-    value: complex,
-    constellation: Constellation,
-    priors: np.ndarray,
-    gain: complex,
-    noise_var: float,
-) -> complex:
-    """Posterior-mean slice of one soft estimate.
-
-    The likelihood of a candidate symbol s is Gaussian with variance
-    ``noise_var`` centered at ``gain * s``; the return value is the
-    prior-weighted posterior mean, computed in log space so large
-    exponents cannot underflow the weights.
-    """
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (len(constellation),):
-        raise ConfigurationError(
-            f"priors must have one entry per constellation point, got shape {priors.shape}"
-        )
-    if abs(priors.sum() - 1.0) > 1e-9 or (priors < 0).any():
-        raise ConfigurationError("priors must be a probability vector")
-    if noise_var <= 0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
-
-    # log(0) = -inf encodes zero prior mass; |.|^2 may overflow to inf for
-    # absurd inputs, which the fallback below absorbs
-    with np.errstate(divide="ignore", over="ignore"):
-        log_w = np.log(priors) - np.abs(value - gain * constellation.points) ** 2 / noise_var
-    peak = log_w.max()
-    if not np.isfinite(peak):
-        fallback = hard_slice(np.asarray([value / gain]), constellation).values[0]
-        warnings.warn(
-            "soft_slice posterior weights underflowed; returning hard-slice fallback",
-            SoftSliceUnderflowWarning,
-            stacklevel=2,
-        )
-        return complex(fallback)
-    weights = np.exp(log_w - peak)
-    return complex(np.sum(weights * constellation.points) / np.sum(weights))
+    return SlicedVector(values=constellation.points[idx])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from psed import (
     CapacityError,
     ConfigurationError,
+    DimensionError,
     DomainError,
     asymptotic_sinr,
     complexity_count,
@@ -88,6 +89,18 @@ class TestRipConstant:
         a = rip_constant(H, 3, method="sampled", sample_size=100, rng=42)
         b = rip_constant(H, 3, method="sampled", sample_size=100, rng=42)
         assert a.delta == b.delta
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # NaN distortions would otherwise be dropped by max() and report delta=0
+        H = seeded_channel(8, 6, seed=8)
+        H[3, 4] = bad
+        with pytest.raises(DomainError, match="^H "):
+            rip_constant(H, 2)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(DimensionError):
+            rip_constant(np.ones(6), 2)
 
     def test_bad_args(self):
         H = seeded_channel(8, 6, seed=8)

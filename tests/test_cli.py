@@ -1,13 +1,76 @@
 """Tests for the command-line front end and config handling."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from psed import SingularMatrixError
+from psed import SingularMatrixError, SweepConfig
 from psed import cli
 from psed import harness as harness_module
 from psed.cli import build_sweep_config, main, parse_config_file
 from tests.conftest import orthonormal_columns
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A valid, non-default text value for every sweep key.
+KEY_VALUES = {
+    "n_r": "16",
+    "n_t": "12",
+    "constellation": "bpsk",
+    "detectors": "mf, psed-mf",
+    "snr_db_grid": "3, 9",
+    "trials": "7",
+    "master_seed": "5",
+    "psed.K": "3",
+    "psed.L": "3",
+    "psed.estimator": "lmmse",
+    "psed.max_paths": "16",
+    "kbest.m": "9",
+    "workers": "2",
+    "output": "run.csv",
+}
+
+
+def sweep_config(argv):
+    return build_sweep_config(cli.build_parser().parse_args(["sweep-ser", *argv]))
+
+
+class TestKeyTable:
+    def test_every_key_has_a_sample_value(self):
+        assert set(KEY_VALUES) == set(cli.CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(KEY_VALUES))
+    def test_file_and_flag_agree(self, tmp_path, key):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {KEY_VALUES[key]}\n")
+        from_file = sweep_config(["--config", str(path)])
+        assert from_file == sweep_config([f"--{key}", KEY_VALUES[key]])
+        assert from_file != SweepConfig()
+
+    def test_no_flags_gives_dataclass_defaults(self):
+        assert sweep_config([]) == SweepConfig()
+
+    def test_names_are_upper_cased(self):
+        config = sweep_config(["--constellation", "bpsk", "--detectors", "mf,psed-mf", "--psed.estimator", "lmmse"])
+        assert config.constellation == "BPSK"
+        assert config.detectors == ("MF", "PSED-MF")
+        assert config.psed.estimator == "LMMSE"
+
+    @pytest.mark.parametrize("key, bad", [("trials", "many"), ("psed.K", "2.5"), ("snr_db_grid", "6,x")])
+    def test_bad_value_exits_with_config_code(self, tmp_path, key, bad):
+        assert main(["sweep-ser", f"--{key}", bad]) == 2
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {bad}\n")
+        assert main(["sweep-ser", "--config", str(path)]) == 2
+
+    def test_readme_lists_exactly_the_cli_keys(self):
+        text = README.read_text(encoding="utf-8")
+        table = text[text.index("| key | meaning | default |") :].split("\n\n", 1)[0]
+        first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
+        documented = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(documented) == sorted(cli.CONFIG_KEYS)
 
 
 class TestConfigFile:
@@ -187,6 +250,25 @@ class TestRipCommand:
         assert int(row[0]) == 2
         assert float(row[1]) < 1e-12
         assert row[3] == "True"
+
+    def test_non_finite_matrix_is_config_error(self, tmp_path):
+        path = tmp_path / "nan.npy"
+        np.save(path, np.full((8, 6), np.nan))
+        assert main(["rip", "--matrix", str(path), "--K", "2"]) == 2
+
+    def test_one_dimensional_matrix_is_config_error(self, tmp_path):
+        path = tmp_path / "vector.npy"
+        np.save(path, np.ones(6))
+        assert main(["rip", "--matrix", str(path), "--K", "2"]) == 2
+
+    def test_archive_or_text_array_is_config_error(self, tmp_path):
+        np.savez(tmp_path / "two.npz", H=np.ones((8, 6)), G=np.ones((8, 6)))
+        np.save(tmp_path / "text.npy", np.array([["a", "b"], ["c", "d"]]))
+        assert main(["rip", "--matrix", str(tmp_path / "two.npz"), "--K", "2"]) == 2
+        assert main(["rip", "--matrix", str(tmp_path / "text.npy"), "--K", "2"]) == 2
+
+    def test_missing_matrix_file_is_config_error(self, tmp_path):
+        assert main(["rip", "--matrix", str(tmp_path / "absent.npy"), "--K", "2"]) == 2
 
     def test_generated_matrix_budget_guard(self):
         # C(64, 8) blows the exhaustive budget -> configuration error exit

@@ -77,17 +77,15 @@ class TestRunSweep:
         emit_csv(run_sweep(dataclasses.replace(cfg, workers=2)), parallel)
         assert serial.read_bytes() == parallel.read_bytes()
 
-    @pytest.mark.parametrize("slicer_mode", ["HARD", "SOFT"])
-    def test_rows_equal_those_of_a_sweep_holding_the_detector_alone(self, slicer_mode):
-        # MF and LMMSE rows are read off PSED-MF and PSED-LMMSE's first stage;
-        # with SOFT slicing that stage's slice is not the linear detector's decision.
+    def test_rows_equal_those_of_a_sweep_holding_the_detector_alone(self):
+        # MF and LMMSE rows are read off PSED-MF and PSED-LMMSE's first stage.
         grid = (4.0, 8.0, 14.0)
         cfg = tiny_config(
             detectors=FIVE_DETECTORS,
             snr_db_grid=grid,
             trials=15,
             kbest_m=4,
-            psed=PsedConfig(tol=0.0, sparsity=2, slicer_mode=slicer_mode),
+            psed=PsedConfig(tol=0.0, sparsity=2),
         )
         rows = {(r.detector, r.snr_db): r for r in run_sweep(cfg).rows}
         for detector in ("MF", "LMMSE", "KBEST"):

@@ -132,16 +132,6 @@ class TestPsedDetect:
         assert len(out.recovery.support) == 0
         assert abs(out.recovery.residual_norm - np.linalg.norm(out.y_prime)) < 1e-12
 
-    def test_soft_slicing_mode_runs(self, qpsk):
-        H = seeded_channel(12, 12, seed=8)
-        s = draw_symbols(qpsk, 12, rng_stream(8, "symbols"))
-        inst = transmit(H, s, 1.0, 0.1, rng_stream(8, "noise"))
-        out = psed_detect(inst.y, H, 1.0, 0.1, qpsk, PsedConfig(slicer_mode="SOFT", tol=0.0))
-        assert out.s_hat.mode == "SOFT"
-        # soft estimates live in the convex hull, not on the grid
-        assert np.all(np.abs(out.s_hat.values) <= np.abs(qpsk.points).max() + 1e-12)
-        assert np.all(np.isin(out.s_final.values, qpsk.points))
-
     def test_all_nan_observation_raises(self, qpsk):
         # NaN distances would otherwise slice every stream to point 0, unflagged
         H = seeded_channel(32, 32, seed=10)
@@ -188,8 +178,6 @@ class TestPsedConfig:
     def test_invalid_fields_rejected(self):
         with pytest.raises(ConfigurationError):
             PsedConfig(base_detector="ZF")
-        with pytest.raises(ConfigurationError):
-            PsedConfig(slicer_mode="FIRM")
         with pytest.raises(ConfigurationError):
             PsedConfig(sparsity=0)
         with pytest.raises(ConfigurationError):
