@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, require_finite
 from .model import BPSK, Constellation
 
 _ML_MAX_DIM = {BPSK: 12, "QPSK": 8}
@@ -51,10 +51,12 @@ def ml_detect(
     """Exhaustive maximum-likelihood detection.
 
     Enumerates every candidate symbol vector, so n_t is capped (default
-    12 for BPSK, 8 for QPSK) to keep the search from blowing up.
+    12 for BPSK, 8 for QPSK) to keep the search from blowing up. A
+    non-finite y or H raises DomainError.
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    require_finite(y=y, H=H)
     n_t = H.shape[1]
     cap = max_dim if max_dim is not None else _ML_MAX_DIM.get(constellation.kind, 8)
     if n_t > cap:
@@ -81,9 +83,12 @@ def _kbest_search(
     The system is triangularized once (A = sqrt(P) H = Q R) and layers are
     decided from the last stream to the first in natural column order.
     The accumulated metric of a full candidate equals |Q^H y - R s|^2.
+    Equal metrics keep the child enumerated first, survivor by survivor and
+    point by point.
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    require_finite(y=y, H=H)
     n_r, n_t = H.shape
     if n_r < n_t:
         raise ConfigurationError(
@@ -94,23 +99,22 @@ def _kbest_search(
     Q, R = np.linalg.qr(np.sqrt(power) * H)
     z = Q.conj().T @ y
     points = constellation.points
-    n_points = len(points)
+    scaled_points = R.diagonal()[:, None] * points  # row i: R_ii times every point
 
     # Partial candidates over streams [i, n_t); unfilled leading entries stay 0.
     symbols = np.zeros((1, n_t), dtype=np.complex128)
     metrics = np.zeros(1)
     for i in range(n_t - 1, -1, -1):
         tail = symbols[:, i + 1 :] @ R[i, i + 1 :]
-        # Extend every survivor by every constellation point.
-        resid = z[i] - tail[:, None] - R[i, i] * points[None, :]
+        # Child f extends survivor f // M by point f % M.
+        resid = z[i] - tail[:, None] - scaled_points[i]
         new_metrics = (metrics[:, None] + np.abs(resid) ** 2).ravel()
-        parent = np.repeat(np.arange(symbols.shape[0]), n_points)
-        point_idx = np.tile(np.arange(n_points), symbols.shape[0])
-        keep = np.lexsort((np.arange(new_metrics.shape[0]), new_metrics))[:m]
-        symbols = symbols[parent[keep]]
-        symbols[:, i] = points[point_idx[keep]]
+        keep = new_metrics.argsort(kind="stable")[:m]
+        parent, point = np.divmod(keep, len(points))
+        symbols = symbols[parent]
+        symbols[:, i] = points[point]
         metrics = new_metrics[keep]
-    best = int(np.lexsort((np.arange(metrics.shape[0]), metrics))[0])
+    best = int(np.argmin(metrics))
     return symbols[best].copy(), float(metrics[best])
 
 
@@ -121,6 +125,9 @@ def kbest_detect(
     constellation: Constellation,
     m: int,
 ) -> np.ndarray:
-    """K-best detection: keep the m best partial candidates per layer."""
+    """K-best detection: keep the m best partial candidates per layer.
+
+    A non-finite y or H raises DomainError.
+    """
     symbols, _ = _kbest_search(y, H, power, constellation, m)
     return symbols

@@ -118,10 +118,11 @@ def psed_detect(
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    require_finite(y=y)  # weight_matrix below rejects a non-finite H or noise_var
+    require_finite(y=y, H=H)  # weight_matrix below rejects a non-finite noise_var
     k = config.bound_sparsity(H.shape[1])
 
-    weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var)
+    gram = H.conj().T @ H  # shared by the LMMSE weights and the MMP search
+    weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var, gram=gram)
     s_tilde = linear_detectors.detect(weights, y)
     s_hat = slicer.hard_slice(s_tilde, constellation)
     y_prime = sparse_transform(y, H, s_hat.values, power)
@@ -142,6 +143,7 @@ def psed_detect(
             estimator=config.estimator,
             error_var=error_var,
             noise_var=noise_var,
+            gram=gram,
         )
     except SingularMatrixError:
         recovery_failed = True

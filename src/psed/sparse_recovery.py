@@ -204,6 +204,8 @@ def mmp(
     estimator: str = LS,
     error_var: float | None = None,
     noise_var: float | None = None,
+    *,
+    gram: np.ndarray | None = None,
 ) -> RecoveryResult:
     """Multipath matching pursuit: breadth-first search over support candidates.
 
@@ -220,7 +222,8 @@ def mmp(
     (requires `error_var` and `noise_var`) applies the regularized solve
     instead, both along the paths and in the final re-solve.
 
-    The search runs on G = A^H A with A = sqrt(P) H. The regularized solve
+    The search runs on G = A^H A with A = sqrt(P) H, formed as P (H^H H)
+    whether or not the caller passes H^H H as `gram`. The regularized solve
     with rho = noise_var / error_var is least squares on the augmented
     system A~ = [A; sqrt(rho) I] against y' padded with zeros, so one
     kernel serves both estimators (rho = 0 for LS) and G~ = A~^H A~ = G + rho I.
@@ -259,13 +262,12 @@ def mmp(
         rho = noise_var / error_var
 
     n_t = H.shape[1]
-    A = np.sqrt(power) * H
-    gram = A.conj().T @ A
+    gram = power * (H.conj().T @ H if gram is None else gram)
     gram[np.diag_indices(n_t)] += rho
     gram_t = gram.T.copy()
     col_energy = gram.diagonal().real.copy()
     rank_floor = _RANK_TOL * np.maximum(col_energy, 1.0)
-    c0 = A.conj().T @ y_prime
+    c0 = np.sqrt(power) * (H.conj().T @ y_prime)
     y2 = float(np.vdot(y_prime, y_prime).real)
     tol2 = _resolve_tol(tol, float(np.linalg.norm(y_prime))) ** 2
     # The Gram-domain residual energy carries an absolute error of about

@@ -8,6 +8,7 @@ import pytest
 from psed import (
     CapacityError,
     ConfigurationError,
+    DomainError,
     KBestConfig,
     PsedConfig,
     draw_symbols,
@@ -53,6 +54,26 @@ class TestMlDetect:
         # explicit override unlocks the larger search
         got = ml_detect(y, H, 1.0, qpsk, max_dim=9)
         assert got.shape == (9,)
+
+
+def non_finite_inputs():
+    """(y, H, name of the bad argument): an all-NaN y, and an H holding an inf."""
+    H = seeded_channel(6, 4, seed=15)
+    y = np.full(6, np.nan, dtype=np.complex128)
+    yield pytest.param(y, H, "y", id="nan-y")
+    H_inf = H.copy()
+    H_inf[2, 1] = np.inf
+    yield pytest.param(np.ones(6, dtype=np.complex128), H_inf, "H", id="inf-H")
+
+
+@pytest.mark.parametrize("y, H, name", non_finite_inputs())
+@pytest.mark.parametrize("detector", ["ML", "KBEST"])
+def test_non_finite_input_rejected(qpsk, detector, y, H, name):
+    with pytest.raises(DomainError, match=f"^{name} "):
+        if detector == "ML":
+            ml_detect(y, H, 1.0, qpsk)
+        else:
+            kbest_detect(y, H, 1.0, qpsk, m=4)
 
 
 class TestKBest:
