@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, require_finite
+from .errors import CapacityError, ConfigurationError, require_finite, require_observation
 from .model import BPSK, Constellation
 
 _ML_MAX_DIM = {BPSK: 12, "QPSK": 8}
@@ -50,12 +50,16 @@ def ml_detect(
 ) -> np.ndarray:
     """Exhaustive maximum-likelihood detection.
 
-    Enumerates every candidate symbol vector, so n_t is capped (default
-    12 for BPSK, 8 for QPSK) to keep the search from blowing up. A
-    non-finite y or H raises DomainError.
+    y is one observation (n_r,) or a stack (B, n_r) of observations of the
+    same H, and the result is (n_t,) or (B, n_t) accordingly; the received
+    signal of every candidate is formed once per call. Enumerates every
+    candidate symbol vector, so n_t is capped (default 12 for BPSK, 8 for
+    QPSK) to keep the search from blowing up. A y that does not fit H
+    raises DimensionError, a non-finite y or H DomainError.
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    require_observation(y, H, stacked=True)
     require_finite(y=y, H=H)
     n_t = H.shape[1]
     cap = max_dim if max_dim is not None else _ML_MAX_DIM.get(constellation.kind, 8)
@@ -66,9 +70,9 @@ def ml_detect(
         )
     grid = _candidate_grid(len(constellation), n_t)
     candidates = constellation.points[grid]  # (M^n_t, n_t)
-    diffs = y[:, None] - np.sqrt(power) * (H @ candidates.T)
-    costs = np.sum(np.abs(diffs) ** 2, axis=0)
-    return candidates[int(np.argmin(costs))].copy()
+    received = np.sqrt(power) * (H @ candidates.T)  # (n_r, M^n_t), shared by every observation
+    best = [np.argmin(np.sum(np.abs(obs[:, None] - received) ** 2, axis=0)) for obs in y.reshape(-1, H.shape[0])]
+    return candidates[best].reshape(y.shape[:-1] + (n_t,))
 
 
 def _kbest_search(
@@ -77,17 +81,21 @@ def _kbest_search(
     power: float,
     constellation: Constellation,
     m: int,
-) -> tuple[np.ndarray, float]:
-    """Breadth-first K-best search; returns the winner and its search metric.
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Breadth-first K-best search; returns the winners and their search metrics.
 
-    The system is triangularized once (A = sqrt(P) H = Q R) and layers are
-    decided from the last stream to the first in natural column order.
-    The accumulated metric of a full candidate equals |Q^H y - R s|^2.
-    Equal metrics keep the child enumerated first, survivor by survivor and
-    point by point.
+    y is one observation (n_r,) or a stack (B, n_r) of observations of the
+    same H; the winners are (n_t,) or (B, n_t) and the metrics a float or
+    (B,) accordingly. The system is triangularized once per call
+    (A = sqrt(P) H = Q R) and layers are decided from the last stream to the
+    first in natural column order, one set of array operations per layer
+    over the survivors of every observation. The accumulated metric of a
+    full candidate equals |Q^H y - R s|^2. Equal metrics keep the child
+    enumerated first, survivor by survivor and point by point.
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    require_observation(y, H, stacked=True)
     require_finite(y=y, H=H)
     n_r, n_t = H.shape
     if n_r < n_t:
@@ -97,25 +105,38 @@ def _kbest_search(
     if m < 1:
         raise ConfigurationError(f"K-best survivor count must be >= 1, got {m}")
     Q, R = np.linalg.qr(np.sqrt(power) * H)
-    z = Q.conj().T @ y
+    Qh = Q.conj().T
+    z = np.array([Qh @ obs for obs in y.reshape(-1, n_r)])  # one gemv per observation
+    n_obs = z.shape[0]
+    z = z.T.reshape(n_t, n_obs, 1, 1)  # layer i reads z[i], one entry per observation
     points = constellation.points
+    n_points = len(points)
     scaled_points = R.diagonal()[:, None] * points  # row i: R_ii times every point
+    # Child f of a layer's survivors carries point f % M; a layer extends at
+    # most min(m, M^(n_t - 1)) survivors.
+    child_points = np.tile(points, min(m, n_points ** (n_t - 1)))
+    obs = np.arange(n_obs)
+    obs_col = obs[:, None]
 
-    # Partial candidates over streams [i, n_t); unfilled leading entries stay 0.
-    symbols = np.zeros((1, n_t), dtype=np.complex128)
-    metrics = np.zeros(1)
+    # Partial candidates over streams [i, n_t), indexed (observation,
+    # survivor, stream); unfilled leading entries stay 0.
+    symbols = np.zeros((n_obs, 1, n_t), dtype=np.complex128)
+    metrics = np.zeros((n_obs, 1, 1))
     for i in range(n_t - 1, -1, -1):
-        tail = symbols[:, i + 1 :] @ R[i, i + 1 :]
-        # Child f extends survivor f // M by point f % M.
-        resid = z[i] - tail[:, None] - scaled_points[i]
-        new_metrics = (metrics[:, None] + np.abs(resid) ** 2).ravel()
-        keep = new_metrics.argsort(kind="stable")[:m]
-        parent, point = np.divmod(keep, len(points))
-        symbols = symbols[parent]
-        symbols[:, i] = points[point]
-        metrics = new_metrics[keep]
-    best = int(np.argmin(metrics))
-    return symbols[best].copy(), float(metrics[best])
+        # One BLAS product per observation, over the rows a call of its own would have.
+        tail = symbols[:, :, i + 1 :] @ R[i, i + 1 :, None]
+        # Child f of an observation extends its survivor f // M by point f % M.
+        new_metrics = np.abs(z[i] - tail - scaled_points[i])
+        new_metrics **= 2
+        new_metrics += metrics
+        new_metrics = new_metrics.reshape(n_obs, -1)
+        keep = new_metrics.argsort(axis=1, kind="stable")[:, :m]
+        symbols = symbols[obs_col, keep // n_points]
+        symbols[:, :, i] = child_points[keep]
+        metrics = new_metrics[obs_col, keep, None]
+    metrics = metrics[:, :, 0]
+    best = metrics.argmin(axis=1)
+    return symbols[obs, best].reshape(y.shape[:-1] + (n_t,)), metrics[obs, best].reshape(y.shape[:-1])[()]
 
 
 def kbest_detect(
@@ -127,7 +148,9 @@ def kbest_detect(
 ) -> np.ndarray:
     """K-best detection: keep the m best partial candidates per layer.
 
-    A non-finite y or H raises DomainError.
+    y is one observation (n_r,) or a stack (B, n_r) of observations of the
+    same H, and the result is (n_t,) or (B, n_t) accordingly. A y that does
+    not fit H raises DimensionError, a non-finite y or H DomainError.
     """
     symbols, _ = _kbest_search(y, H, power, constellation, m)
     return symbols

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness check that raises one."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 import numpy as np
 
@@ -32,3 +32,14 @@ def require_finite(**arrays) -> None:
     for name, value in arrays.items():
         if not np.isfinite(value).all():
             raise DomainError(f"{name} must be finite")
+
+
+def require_observation(y: np.ndarray, H: np.ndarray, stacked: bool = False) -> None:
+    """Raise DimensionError unless H is 2-D and y is one observation of it, shape (n_r,).
+
+    With `stacked`, y may also be a stack of observations of the same H, shape (B, n_r).
+    """
+    ndims = (1, 2) if stacked else (1,)
+    if H.ndim != 2 or y.ndim not in ndims or y.shape[-1] != H.shape[0]:
+        wanted = "(n_r,) or (B, n_r)" if stacked else "(n_r,)"
+        raise DimensionError(f"observation of shape {y.shape} does not fit H of shape {H.shape}: expected {wanted}")

@@ -124,6 +124,7 @@ def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]
     noise from the same substream, so each cell sees the observation it would
     see in a sweep of its own. When PSED-X and X are both swept, X's row is
     read off PSED-X's first stage: the same weights, filter output and hard slice.
+    K-best and ML search the stacked observations of every SNR in one call each.
     """
     constellation = make_constellation(config.constellation)
     seed = config.master_seed
@@ -136,7 +137,7 @@ def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]
     }
     noise = rng_stream(seed, "noise", trial)
     noise_start = noise.bit_generator.state
-    per_snr = []
+    per_snr, ys = [], []
     for snr_db in config.snr_db_grid:
         noise_var = POWER / db_to_linear(snr_db)
         noise.bit_generator.state = noise_start  # rewound: every SNR draws the trial's unit noise
@@ -148,18 +149,22 @@ def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]
             if psed_cfg.base_detector in config.detectors:
                 cell[psed_cfg.base_detector] = _score(s, out.s_hat.values, out.s_tilde)
         for detector in config.detectors:
-            if detector in cell:
-                continue
-            if detector in linear_detectors.DETECTOR_KINDS:
+            if detector in linear_detectors.DETECTOR_KINDS and detector not in cell:
                 weights = linear_detectors.weight_matrix(H, detector, POWER, noise_var)
                 estimate = linear_detectors.detect(weights, y)
-                decided = hard_slice(estimate, constellation).values
-            elif detector == KBEST:
-                decided = estimate = baselines.kbest_detect(y, H, POWER, constellation, config.kbest_m)
-            else:
-                decided = estimate = baselines.ml_detect(y, H, POWER, constellation)
-            cell[detector] = _score(s, decided, estimate)
+                cell[detector] = _score(s, hard_slice(estimate, constellation).values, estimate)
         per_snr.append(cell)
+        ys.append(y)
+    ys = np.stack(ys)
+    for detector in config.detectors:
+        if detector == KBEST:
+            decided = baselines.kbest_detect(ys, H, POWER, constellation, config.kbest_m)
+        elif detector == ML:
+            decided = baselines.ml_detect(ys, H, POWER, constellation)
+        else:
+            continue
+        for cell, row in zip(per_snr, decided):
+            cell[detector] = _score(s, row, row)
     return [cell[detector] for detector in config.detectors for cell in per_snr]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite
+from .errors import ConfigurationError, SingularMatrixError, require_finite, require_observation
 
 MF = "MF"
 LMMSE = "LMMSE"
@@ -91,11 +91,13 @@ def weight_matrix(
 
 
 def detect(weights: WeightMatrix | np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights."""
+    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights.
+
+    A y that is not one observation (n_r,) raises DimensionError.
+    """
     y = np.asarray(y)
     M = weights._mat if isinstance(weights, WeightMatrix) else np.asarray(weights)
-    if M.shape[0] != y.shape[0]:
-        raise DimensionError(f"W has {M.shape[0]} rows but y has length {y.shape[0]}")
+    require_observation(y, M)
     s_tilde = M.conj().T @ y
     if isinstance(weights, WeightMatrix) and weights._gram is not None:
         s_tilde = np.linalg.solve(weights._regularised_gram(), s_tilde)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear_detectors, slicer, sparse_recovery
-from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite
+from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite, require_observation
 from .model import Constellation
 from .slicer import SlicedVector
 from .sparse_recovery import RecoveryResult, SupportSet
@@ -113,11 +113,13 @@ def psed_detect(
     """Run the full detect / slice / transform / recover / correct pipeline.
 
     A singular recovery subproblem is not fatal: the output falls back to
-    the sliced step-2 estimate and the trial is flagged. A non-finite y, H
-    or noise_var raises DomainError.
+    the sliced step-2 estimate and the trial is flagged. A y that is not one
+    observation of H raises DimensionError; a non-finite y, H or noise_var
+    raises DomainError.
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    require_observation(y, H)
     require_finite(y=y, H=H)  # weight_matrix below rejects a non-finite noise_var
     k = config.bound_sparsity(H.shape[1])
 

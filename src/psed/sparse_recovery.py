@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SingularMatrixError
+from .errors import ConfigurationError, SingularMatrixError, require_observation
 
 LS = "LS"
 LMMSE = "LMMSE"
@@ -112,8 +112,7 @@ def ls_on_support(H: np.ndarray, y_prime: np.ndarray, power: float, support) -> 
     """
     H = np.asarray(H, dtype=np.complex128)
     y_prime = np.asarray(y_prime, dtype=np.complex128)
-    if H.shape[0] != y_prime.shape[0]:
-        raise DimensionError(f"H has {H.shape[0]} rows but y' has length {y_prime.shape[0]}")
+    require_observation(y_prime, H)
     idx = _as_indices(support)
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
     if not idx:
@@ -146,6 +145,7 @@ def lmmse_on_support(
         raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
     H = np.asarray(H, dtype=np.complex128)
     y_prime = np.asarray(y_prime, dtype=np.complex128)
+    require_observation(y_prime, H)
     idx = _as_indices(support)
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
     if not idx:
@@ -239,8 +239,7 @@ def mmp(
     """
     H = np.asarray(H, dtype=np.complex128)
     y_prime = np.asarray(y_prime, dtype=np.complex128)
-    if H.shape[0] != y_prime.shape[0]:
-        raise DimensionError(f"H has {H.shape[0]} rows but y' has length {y_prime.shape[0]}")
+    require_observation(y_prime, H)
     if K < 1:
         raise ConfigurationError(f"sparsity K must be >= 1, got {K}")
     if K > H.shape[1]:

@@ -8,12 +8,14 @@ import pytest
 from psed import (
     CapacityError,
     ConfigurationError,
+    DimensionError,
     DomainError,
     KBestConfig,
     PsedConfig,
     draw_symbols,
     kbest_detect,
     ml_detect,
+    make_constellation,
     psed_detect,
     rng_stream,
     transmit,
@@ -74,6 +76,49 @@ def test_non_finite_input_rejected(qpsk, detector, y, H, name):
             ml_detect(y, H, 1.0, qpsk)
         else:
             kbest_detect(y, H, 1.0, qpsk, m=4)
+
+
+def misfit_observations():
+    """y arrays that are neither one observation (6,) of a 6x4 H nor a stack (B, 6) of them."""
+    yield pytest.param(np.ones(1, dtype=np.complex128), id="length-1")
+    yield pytest.param(np.ones(5, dtype=np.complex128), id="short")
+    yield pytest.param(np.ones(7, dtype=np.complex128), id="long")
+    yield pytest.param(np.ones((6, 1), dtype=np.complex128), id="column")
+    yield pytest.param(np.ones((2, 7), dtype=np.complex128), id="stack-of-long")
+    yield pytest.param(np.ones((1, 1, 6), dtype=np.complex128), id="three-d")
+    yield pytest.param(np.complex128(1.0), id="scalar")
+
+
+@pytest.mark.parametrize("y", misfit_observations())
+@pytest.mark.parametrize("detector", ["ML", "KBEST"])
+def test_observation_that_does_not_fit_H_rejected(qpsk, detector, y):
+    H = seeded_channel(6, 4, seed=16)
+    with pytest.raises(DimensionError):
+        if detector == "ML":
+            ml_detect(y, H, 1.0, qpsk)
+        else:
+            kbest_detect(y, H, 1.0, qpsk, m=4)
+
+
+@pytest.mark.parametrize("stack", [1, 2, 4])
+@pytest.mark.parametrize(
+    "kind, n_r, n_t",
+    [pytest.param("BPSK", 12, 12, id="bpsk-12x12"), pytest.param("QPSK", 10, 6, id="qpsk-10x6")],
+)
+def test_ml_stack_rows_equal_single_calls(kind, n_r, n_t, stack):
+    # Row b of one call on a stack of observations of the same H equals a call on row b alone.
+    constellation = make_constellation(kind)
+    for seed in range(6):
+        H = seeded_channel(n_r, n_t, seed=900 + seed)
+        s = draw_symbols(constellation, n_t, rng_stream(900 + seed, "symbols"))
+        ys = np.stack([
+            transmit(H, s, 1.0, 10 ** (-(2.0 + 3 * b) / 10), rng_stream(900 + seed, "noise")).y
+            for b in range(stack)
+        ])
+        got = ml_detect(ys, H, 1.0, constellation)
+        assert got.shape == (stack, n_t)
+        for b in range(stack):
+            np.testing.assert_array_equal(got[b], ml_detect(ys[b], H, 1.0, constellation))
 
 
 class TestKBest:

@@ -92,6 +92,16 @@ class TestRunSweep:
             alone = run_sweep(dataclasses.replace(cfg, detectors=(detector,)))
             assert alone.rows == tuple(rows[detector, snr] for snr in grid)
 
+    def test_reference_rows_equal_those_of_single_snr_sweeps(self):
+        # K-best and ML search a trial's observations at every SNR in one call;
+        # each row must be what a sweep over its SNR alone gives.
+        grid = (4.0, 8.0, 12.0, 16.0)
+        cfg = tiny_config(detectors=("KBEST", "ML"), snr_db_grid=grid, trials=8, kbest_m=4)
+        rows = {(r.detector, r.snr_db): r for r in run_sweep(cfg).rows}
+        for snr in grid:
+            alone = run_sweep(dataclasses.replace(cfg, snr_db_grid=(snr,)))
+            assert alone.rows == (rows["KBEST", snr], rows["ML", snr])
+
     def test_ml_dimension_guard_fires_before_any_trial(self):
         with pytest.raises(ConfigurationError, match="ML"):
             run_sweep(tiny_config(n_r=16, n_t=16, detectors=("ML",))).rows

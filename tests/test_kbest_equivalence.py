@@ -84,3 +84,67 @@ def test_exact_ties_keep_the_lowest_flat_indices(qpsk, m, target):
     want_symbols, want_metric = reference_kbest(y, H, 1.0, qpsk, m)
     np.testing.assert_array_equal(symbols, want_symbols)
     assert metric == want_metric
+
+
+def assert_stack_rows_equal_single_calls(ys, H, power, constellation, m):
+    """Row b of one call on the stacked observations equals a call on ys[b] alone, bitwise."""
+    symbols, metrics = _kbest_search(np.stack(ys), H, power, constellation, m)
+    assert symbols.shape == (len(ys), H.shape[1])
+    assert metrics.shape == (len(ys),)
+    for b, y in enumerate(ys):
+        want_symbols, want_metric = _kbest_search(y, H, power, constellation, m)
+        np.testing.assert_array_equal(symbols[b], want_symbols)
+        assert metrics[b] == want_metric
+
+
+def observations(constellation, n_r, n_t, seed, snrs_db, power=1.0):
+    """One channel and symbol vector, observed at each SNR on the same unit noise."""
+    H = seeded_channel(n_r, n_t, seed=seed)
+    s = draw_symbols(constellation, n_t, rng_stream(seed, "symbols"))
+    ys = [transmit(H, s, power, power / db_to_linear(snr), rng_stream(seed, "noise")).y for snr in snrs_db]
+    return ys, H
+
+
+@pytest.mark.parametrize("stack", [1, 2, 4])
+@pytest.mark.parametrize("seed", range(0, 240, 40))
+def test_stacked_qpsk_32x32_m15_rows_equal_single_calls(qpsk, seed, stack):
+    # The instances of test_qpsk_32x32_m15_is_bitwise_equal, each observed at
+    # `stack` SNRs from the same 6-20 dB grid.
+    for k in range(seed, seed + 40):
+        snrs = [6.0 + 2 * ((k + b) % 8) for b in range(stack)]
+        ys, H = observations(qpsk, 32, 32, 7000 + k, snrs)
+        assert_stack_rows_equal_single_calls(ys, H, 1.0, qpsk, 15)
+
+
+@pytest.mark.parametrize("stack", [1, 2, 4])
+@pytest.mark.parametrize(
+    "kind, n_r, n_t, m, power",
+    [
+        pytest.param("BPSK", 32, 32, 1, 1.0, id="bpsk-32-m1"),
+        pytest.param("QPSK", 8, 4, 4**4, 1.0, id="qpsk-8x4-exhaustive"),
+        pytest.param("BPSK", 10, 8, 2**8, 1.0, id="bpsk-10x8-exhaustive"),
+        pytest.param("QPSK", 40, 32, 15, 1.0, id="qpsk-40x32-m15"),
+        pytest.param("QPSK", 32, 32, 15, 2.0, id="qpsk-32-m15-P2"),
+    ],
+)
+def test_stacked_other_shapes_rows_equal_single_calls(kind, n_r, n_t, m, power, stack):
+    constellation = make_constellation(kind)
+    for seed in range(20):
+        snrs = [6.0 + 2 * ((seed + b) % 8) for b in range(stack)]
+        ys, H = observations(constellation, n_r, n_t, 7500 + seed, snrs, power=power)
+        assert_stack_rows_equal_single_calls(ys, H, power, constellation, m)
+
+
+@pytest.mark.parametrize("stack", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 3, 15, 256])
+def test_stacked_exact_ties_keep_the_lowest_flat_indices(qpsk, m, stack):
+    # The tie cases of test_exact_ties_keep_the_lowest_flat_indices, zero and
+    # midpoint observations alternating in one stack: each row's ties must
+    # resolve as in a call of its own, to point 0 in every stream.
+    n = 6
+    H = np.eye(n, dtype=np.complex128)
+    midpoint = (qpsk.points[0] + qpsk.points[1]) / 2
+    ys = [np.full(n, midpoint if b % 2 else 0.0, dtype=np.complex128) for b in range(stack)]
+    assert_stack_rows_equal_single_calls(ys, H, 1.0, qpsk, m)
+    symbols, _ = _kbest_search(np.stack(ys), H, 1.0, qpsk, m)
+    np.testing.assert_array_equal(symbols, np.full((stack, n), qpsk.points[0]))

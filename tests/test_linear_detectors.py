@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psed import (
+    DimensionError,
     SingularMatrixError,
     WeightMatrix,
     detect,
@@ -84,6 +85,13 @@ class TestDetect:
         gram = H.conj().T @ H + 0.05 * np.eye(32)
         expected = np.linalg.inv(gram) @ (H.conj().T @ inst.y)
         np.testing.assert_allclose(got, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(8, 1), ()], ids=["column", "scalar"])
+    @pytest.mark.parametrize("kind", ["MF", "LMMSE"])
+    def test_observation_that_is_not_one_vector_rejected(self, kind, shape):
+        weights = weight_matrix(seeded_channel(8, 6, seed=7), kind, 1.0, 0.1)
+        with pytest.raises(DimensionError):
+            detect(weights, np.ones(shape, dtype=np.complex128))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), a_re=st.floats(-3, 3), a_im=st.floats(-3, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from psed import (
     ConfigurationError,
+    DimensionError,
     DomainError,
     PsedConfig,
     SingularMatrixError,
@@ -138,6 +139,12 @@ class TestPsedDetect:
         y = np.full(32, np.nan + 0j)
         with pytest.raises(DomainError, match="^y "):
             psed_detect(y, H, 1.0, 0.1, qpsk, PsedConfig(tol=0.0))
+
+    @pytest.mark.parametrize("shape", [(8, 1), ()], ids=["column", "scalar"])
+    def test_observation_that_is_not_one_vector_raises(self, qpsk, shape):
+        H = seeded_channel(8, 8, seed=12)
+        with pytest.raises(DimensionError):
+            psed_detect(np.ones(shape, dtype=np.complex128), H, 1.0, 0.1, qpsk, PsedConfig(sparsity=2))
 
     @pytest.mark.parametrize("field", ["H", "noise_var"])
     def test_non_finite_channel_or_noise_raises(self, qpsk, field):

@@ -7,6 +7,7 @@ import pytest
 
 from psed import (
     ConfigurationError,
+    DimensionError,
     SingularMatrixError,
     SupportSet,
     lmmse_on_support,
@@ -277,3 +278,17 @@ class TestMmp:
             mmp(H, y, 1.0, K=2, L=2, estimator="MAP")
         with pytest.raises(ConfigurationError):
             mmp(H, y, 1.0, K=2, L=2, estimator="LMMSE")
+
+
+@pytest.mark.parametrize("shape", [(8, 1), ()], ids=["column", "scalar"])
+@pytest.mark.parametrize("solver", ["mmp", "ls_on_support", "lmmse_on_support"])
+def test_observation_that_is_not_one_vector_rejected(solver, shape):
+    H = seeded_channel(8, 10, seed=62)
+    y = np.ones(shape, dtype=np.complex128)
+    with pytest.raises(DimensionError):
+        if solver == "mmp":
+            mmp(H, y, 1.0, K=2, L=2)
+        elif solver == "ls_on_support":
+            ls_on_support(H, y, 1.0, (1, 4))
+        else:
+            lmmse_on_support(H, y, 1.0, (1, 4), error_var=1.0, noise_var=0.1)
