@@ -26,7 +26,7 @@ from .analysis import (
     support_recovery_prob,
     trace_inverse_limit,
 )
-from .baselines import KBestConfig, kbest_detect, ml_detect
+from .baselines import kbest_detect, ml_detect
 from .errors import (
     CapacityError,
     ConfigurationError,

@@ -21,6 +21,7 @@ from .pipeline import PSED_NAMES
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
 SAMPLED_SUPPORT_COUNT = 10**4
+RIP_BATCH = 4096  # supports scored per batched eigen-solve
 
 # Each linear detector, then its PSED refinement: the rows of the paper's complexity table.
 COMPLEXITY_DETECTORS = tuple(name for base in DETECTOR_KINDS for name in (base, PSED_NAMES[base]))
@@ -57,7 +58,6 @@ def rip_constant(
     method: str = "exhaustive",
     sample_size: int = SAMPLED_SUPPORT_COUNT,
     rng: np.random.Generator | int | None = None,
-    batch: int = 4096,
 ) -> RipEstimate:
     """Restricted isometry constant of H at sparsity K.
 
@@ -80,24 +80,17 @@ def rip_constant(
                 f"C({n_t}, {K}) = {total} exceeds the exhaustive budget "
                 f"{EXHAUSTIVE_SUBSET_BUDGET}; use method='sampled' for a lower bound"
             )
-        delta = 0.0
-        it = combinations(range(n_t), K)
-        checked = 0
-        while True:
-            chunk = list(islice(it, batch))
-            if not chunk:
-                break
-            delta = max(delta, _subset_distortion(gram, chunk))
-            checked += len(chunk)
-        return RipEstimate(K=K, delta=max(delta, 0.0), subsets_checked=checked, exhaustive=True)
-    if method == "sampled":
+        subsets = combinations(range(n_t), K)
+    elif method == "sampled":
         gen = np.random.default_rng(rng)
-        subsets = [tuple(gen.choice(n_t, size=K, replace=False)) for _ in range(sample_size)]
-        delta = 0.0
-        for start in range(0, len(subsets), batch):
-            delta = max(delta, _subset_distortion(gram, subsets[start : start + batch]))
-        return RipEstimate(K=K, delta=max(delta, 0.0), subsets_checked=sample_size, exhaustive=False)
-    raise ConfigurationError(f"unknown rip method {method!r}; expected 'exhaustive' or 'sampled'")
+        subsets = (tuple(gen.choice(n_t, size=K, replace=False)) for _ in range(sample_size))
+    else:
+        raise ConfigurationError(f"unknown rip method {method!r}; expected 'exhaustive' or 'sampled'")
+    delta, checked = 0.0, 0
+    while chunk := list(islice(subsets, RIP_BATCH)):
+        delta = max(delta, _subset_distortion(gram, chunk))
+        checked += len(chunk)
+    return RipEstimate(K=K, delta=max(delta, 0.0), subsets_checked=checked, exhaustive=method == "exhaustive")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,22 +17,14 @@ def ml_max_dim(constellation_kind: str) -> int:
     return _ML_MAX_DIM.get(constellation_kind, 8)
 
 
-@dataclass(frozen=True)
-class KBestConfig:
-    """Number of partial candidates kept alive per search layer."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ConfigurationError(f"K-best survivor count must be >= 1, got {self.m}")
-
-
 @lru_cache(maxsize=8)
-def _candidate_grid(n_symbols: int, n_t: int) -> np.ndarray:
-    """All length-n_t index tuples over an alphabet of n_symbols, as rows."""
-    grids = np.meshgrid(*([np.arange(n_symbols)] * n_t), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _candidates(points: bytes, n_t: int) -> np.ndarray:
+    """Every length-n_t vector over the points (complex128 bytes), as read-only rows."""
+    points = np.frombuffer(points, dtype=np.complex128)
+    grids = np.meshgrid(*([np.arange(len(points))] * n_t), indexing="ij")
+    table = points[np.stack([g.ravel() for g in grids], axis=1)]
+    table.flags.writeable = False
+    return table
 
 
 def ml_cost(y: np.ndarray, H: np.ndarray, power: float, s: np.ndarray) -> float:
@@ -62,14 +53,14 @@ def ml_detect(
     require_observation(y, H, stacked=True)
     require_finite(y=y, H=H)
     n_t = H.shape[1]
-    cap = max_dim if max_dim is not None else _ML_MAX_DIM.get(constellation.kind, 8)
+    cap = max_dim if max_dim is not None else ml_max_dim(constellation.kind)
     if n_t > cap:
         raise CapacityError(
             f"exhaustive ML with n_t={n_t} exceeds max_dim={cap} "
             f"({len(constellation)}^{n_t} candidates)"
         )
-    grid = _candidate_grid(len(constellation), n_t)
-    candidates = constellation.points[grid]  # (M^n_t, n_t)
+    # Keyed by the points themselves, so an alphabet with other points gets its own table.
+    candidates = _candidates(np.asarray(constellation.points, dtype=np.complex128).tobytes(), n_t)  # (M^n_t, n_t)
     received = np.sqrt(power) * (H @ candidates.T)  # (n_r, M^n_t), shared by every observation
     best = [np.argmin(np.sum(np.abs(obs[:, None] - received) ** 2, axis=0)) for obs in y.reshape(-1, H.shape[0])]
     return candidates[best].reshape(y.shape[:-1] + (n_t,))

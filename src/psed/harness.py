@@ -34,9 +34,6 @@ KBEST = "KBEST"
 ML = "ML"
 SWEEP_DETECTORS = (MF, LMMSE, PSED_MF, PSED_LMMSE, KBEST, ML)
 
-CSV_HEADER = ("detector", "n_r", "n_t", "snr_db", "trials", "symbol_errors", "ser", "mse", "seed")
-CSV_ANALYTIC_COLUMNS = ("mse_conv_asymptotic", "mse_psed_closed_form")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -89,6 +86,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (detector, SNR) cell of a sweep and one line of its CSV.
+
+    The fields, in order, are the CSV columns. The two closed-form columns
+    are written only when some row carries them, and a None as ``nan``.
+    """
+
     detector: str
     n_r: int
     n_t: int
@@ -100,6 +103,11 @@ class SweepRow:
     seed: int
     mse_conv_asymptotic: float | None = None
     mse_psed_closed_form: float | None = None
+
+
+_CSV_COLUMNS = dataclasses.fields(SweepRow)
+_CSV_CORE = sum(c.default is dataclasses.MISSING for c in _CSV_COLUMNS)  # columns every CSV carries
+_CSV_TYPES = {"str": str, "int": int, "float": float, "float | None": float}  # cell type by annotation
 
 
 @dataclass(frozen=True)
@@ -120,52 +128,39 @@ def _score(s, decided, estimate, flagged: bool = False) -> tuple[int, float, boo
 def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]:
     """One instance through every (detector, SNR) cell; (errors, squared error, flagged) per row.
 
-    H and s are drawn once, and every SNR's `transmit` draws the trial's unit
-    noise from the same substream, so each cell sees the observation it would
-    see in a sweep of its own. When PSED-X and X are both swept, X's row is
-    read off PSED-X's first stage: the same weights, filter output and hard slice.
-    K-best and ML search the stacked observations of every SNR in one call each.
+    H, s and the unit noise are drawn once, and `transmit` scales the noise
+    to every SNR of the grid, so each cell sees the observation it would see
+    in a sweep of its own. When PSED-X and X are both swept, X's row is read
+    off PSED-X's first stage: the same weights, filter output and hard slice.
+    K-best and ML search the whole stack of observations in one call each.
+    Rows come detector-major, in the order of config.detectors.
     """
     constellation = make_constellation(config.constellation)
     seed = config.master_seed
     H = model.generate_channel(config.n_r, config.n_t, rng_stream(seed, "channel", trial))
     s = model.draw_symbols(constellation, config.n_t, rng_stream(seed, "symbols", trial))
-    psed_configs = {
-        detector: dataclasses.replace(config.psed, base_detector=base)
-        for base, detector in PSED_NAMES.items()
-        if detector in config.detectors
-    }
-    noise = rng_stream(seed, "noise", trial)
-    noise_start = noise.bit_generator.state
-    per_snr, ys = [], []
-    for snr_db in config.snr_db_grid:
-        noise_var = POWER / db_to_linear(snr_db)
-        noise.bit_generator.state = noise_start  # rewound: every SNR draws the trial's unit noise
-        y = model.transmit(H, s, POWER, noise_var, noise).y
-        cell = {}
-        for detector, psed_cfg in psed_configs.items():
-            out = pipeline.psed_detect(y, H, POWER, noise_var, constellation, psed_cfg)
-            cell[detector] = _score(s, out.s_final.values, out.s_doublehat, out.recovery_failed)
-            if psed_cfg.base_detector in config.detectors:
-                cell[psed_cfg.base_detector] = _score(s, out.s_hat.values, out.s_tilde)
-        for detector in config.detectors:
-            if detector in linear_detectors.DETECTOR_KINDS and detector not in cell:
-                weights = linear_detectors.weight_matrix(H, detector, POWER, noise_var)
-                estimate = linear_detectors.detect(weights, y)
-                cell[detector] = _score(s, hard_slice(estimate, constellation).values, estimate)
-        per_snr.append(cell)
-        ys.append(y)
-    ys = np.stack(ys)
+    noise_vars = [POWER / db_to_linear(snr_db) for snr_db in config.snr_db_grid]
+    ys = model.transmit(H, s, POWER, noise_vars, rng_stream(seed, "noise", trial)).y
+    outcomes = {}
+    for base, detector in PSED_NAMES.items():
+        if detector in config.detectors:
+            psed_cfg = dataclasses.replace(config.psed, base_detector=base)
+            outs = [pipeline.psed_detect(y, H, POWER, nv, constellation, psed_cfg) for y, nv in zip(ys, noise_vars)]
+            outcomes[detector] = [_score(s, o.s_final.values, o.s_doublehat, o.recovery_failed) for o in outs]
+            if base in config.detectors:
+                outcomes[base] = [_score(s, o.s_hat.values, o.s_tilde) for o in outs]
     for detector in config.detectors:
-        if detector == KBEST:
-            decided = baselines.kbest_detect(ys, H, POWER, constellation, config.kbest_m)
-        elif detector == ML:
-            decided = baselines.ml_detect(ys, H, POWER, constellation)
-        else:
-            continue
-        for cell, row in zip(per_snr, decided):
-            cell[detector] = _score(s, row, row)
-    return [cell[detector] for detector in config.detectors for cell in per_snr]
+        if detector in (KBEST, ML):
+            if detector == KBEST:
+                decided = baselines.kbest_detect(ys, H, POWER, constellation, config.kbest_m)
+            else:
+                decided = baselines.ml_detect(ys, H, POWER, constellation)
+            outcomes[detector] = [_score(s, d, d) for d in decided]
+        elif detector not in outcomes:  # a linear detector swept without its PSED refinement
+            weights = (linear_detectors.weight_matrix(H, detector, POWER, nv) for nv in noise_vars)
+            estimates = [linear_detectors.detect(w, y) for w, y in zip(weights, ys)]
+            outcomes[detector] = [_score(s, hard_slice(e, constellation).values, e) for e in estimates]
+    return [row for detector in config.detectors for row in outcomes[detector]]
 
 
 def _aggregate(outcomes) -> tuple[int, float, list[int]]:
@@ -242,33 +237,23 @@ def run_mse_curves(config: SweepConfig) -> SweepResult:
 # CSV round-tripping
 
 
-def _format_value(value) -> str:
+def _format_value(value, annotation: str) -> str:
     if value is None:
         return "nan"
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+    value = _CSV_TYPES[annotation](value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
+def _parse_value(text: str, annotation: str):
+    value = _CSV_TYPES[annotation](text)
+    return None if annotation == "float | None" and math.isnan(value) else value
 
 
 def emit_csv(result: SweepResult, path) -> None:
     """Write one row per (detector, SNR) cell; floats carry 10 significant digits."""
-    header = CSV_HEADER + (CSV_ANALYTIC_COLUMNS if result.has_analytic_columns else ())
-    lines = [",".join(header)]
-    for row in result.rows:
-        values = [
-            row.detector,
-            row.n_r,
-            row.n_t,
-            float(row.snr_db),
-            row.trials,
-            row.symbol_errors,
-            float(row.ser),
-            float(row.mse),
-            row.seed,
-        ]
-        if result.has_analytic_columns:
-            values.extend([row.mse_conv_asymptotic, row.mse_psed_closed_form])
-        lines.append(",".join(_format_value(v) for v in values))
+    columns = _CSV_COLUMNS if result.has_analytic_columns else _CSV_COLUMNS[:_CSV_CORE]
+    lines = [",".join(c.name for c in columns)]
+    lines += [",".join(_format_value(getattr(row, c.name), c.type) for c in columns) for row in result.rows]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -276,46 +261,27 @@ def emit_csv(result: SweepResult, path) -> None:
         raise PsedError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def _parse_analytic(text: str) -> float | None:
-    value = float(text)
-    return None if math.isnan(value) else value
-
-
 def read_csv(path) -> SweepResult:
     """Parse a file produced by emit_csv back into a SweepResult.
 
-    An analytic column written as ``nan`` (a closed form undefined for the
-    row's shape) reads back as None.
+    The header must start with the columns every sweep writes. The
+    closed-form pair is read only when it is all that follows, and a
+    ``nan`` there (a closed form undefined for the row's shape) reads back
+    as None; any other trailing columns are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines:
         raise PsedError(f"{path} is empty")
     header = tuple(lines[0].split(","))
-    if header[: len(CSV_HEADER)] != CSV_HEADER:
+    names = tuple(c.name for c in _CSV_COLUMNS)
+    if header[:_CSV_CORE] != names[:_CSV_CORE]:
         raise PsedError(f"{path} does not carry the expected sweep header")
-    analytic = header[len(CSV_HEADER) :] == CSV_ANALYTIC_COLUMNS
+    columns = _CSV_COLUMNS if header == names else _CSV_COLUMNS[:_CSV_CORE]
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        row = SweepRow(
-            detector=parts[0],
-            n_r=int(parts[1]),
-            n_t=int(parts[2]),
-            snr_db=float(parts[3]),
-            trials=int(parts[4]),
-            symbol_errors=int(parts[5]),
-            ser=float(parts[6]),
-            mse=float(parts[7]),
-            seed=int(parts[8]),
-        )
-        if analytic:
-            row = dataclasses.replace(
-                row,
-                mse_conv_asymptotic=_parse_analytic(parts[9]),
-                mse_psed_closed_form=_parse_analytic(parts[10]),
-            )
-        rows.append(row)
+        rows.append(SweepRow(**{c.name: _parse_value(parts[i], c.type) for i, c in enumerate(columns)}))
     return SweepResult(rows=tuple(rows))
 
 

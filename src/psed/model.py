@@ -86,14 +86,18 @@ class SnrSpec:
 
 @dataclass(frozen=True)
 class SystemInstance:
-    """One realization of ``y = sqrt(P) H s + v``."""
+    """One realization of ``y = sqrt(P) H s + v``, or a stack of them.
+
+    With B noise variances, ``noise_var`` is a (B,) array and ``v``, ``y``
+    are (B, n_r): row b is the observation at ``noise_var[b]``.
+    """
 
     H: np.ndarray
     s: np.ndarray
     v: np.ndarray
     y: np.ndarray
     power: float
-    noise_var: float
+    noise_var: float | np.ndarray
 
     @property
     def n_r(self) -> int:
@@ -104,12 +108,14 @@ class SystemInstance:
         return self.H.shape[1]
 
     @property
-    def snr(self) -> float:
-        return self.power / self.noise_var if self.noise_var > 0 else np.inf
+    def snr(self) -> float | np.ndarray:
+        """P / noise_var, infinite at zero noise; one per row when stacked."""
+        with np.errstate(divide="ignore"):
+            return self.power / np.asarray(self.noise_var)
 
-    def rebuild_error(self) -> float:
-        """Max-norm gap between the stored y and sqrt(P) H s + v."""
-        return float(np.abs(self.y - (np.sqrt(self.power) * self.H @ self.s + self.v)).max())
+    def rebuild_error(self) -> float | np.ndarray:
+        """Max-norm gap between the stored y and sqrt(P) H s + v; one per row when stacked."""
+        return np.abs(self.y - (np.sqrt(self.power) * self.H @ self.s + self.v)).max(axis=-1)
 
 
 def rng_stream(master_seed: int, tag: str, trial_index: int = 0) -> np.random.Generator:
@@ -142,28 +148,36 @@ def transmit(
     H: np.ndarray,
     s: np.ndarray,
     power: float,
-    noise_var: float,
+    noise_var: float | np.ndarray,
     rng: np.random.Generator | int,
 ) -> SystemInstance:
     """Form ``y = sqrt(P) H s + v`` with ``v ~ CN(0, noise_var I)``.
 
-    A non-finite H, s or noise_var raises DomainError.
+    noise_var is one variance or a 1-D array of B of them. The unit noise is
+    drawn once and scaled to each variance, so ``v`` and ``y`` are (n_r,) or
+    (B, n_r), and row b equals a call with ``noise_var[b]`` alone on the same
+    stream. A non-finite H, s or noise_var raises DomainError, a noise_var of
+    more than one dimension DimensionError.
     """
     H = np.asarray(H, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
+    noise_var = np.asarray(noise_var, dtype=np.float64)
     require_finite(H=H, s=s, noise_var=noise_var)
     if H.ndim != 2 or s.ndim != 1 or H.shape[1] != s.shape[0]:
         raise DimensionError(f"H has shape {H.shape} but s has shape {s.shape}")
+    if noise_var.ndim > 1:
+        raise DimensionError(f"noise_var must be a scalar or 1-D, got shape {noise_var.shape}")
     if power <= 0:
         raise ConfigurationError(f"power must be positive, got {power}")
-    if noise_var < 0:
+    if (noise_var < 0).any():
         raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
     rng = np.random.default_rng(rng)
     n_r = H.shape[0]
     unit = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
-    v = np.sqrt(noise_var / 2.0) * unit
+    v = np.sqrt(noise_var / 2.0)[..., None] * unit
     y = np.sqrt(power) * (H @ s) + v
-    return SystemInstance(H=H, s=s, v=v, y=y, power=float(power), noise_var=float(noise_var))
+    noise_var = noise_var if noise_var.ndim else float(noise_var)
+    return SystemInstance(H=H, s=s, v=v, y=y, power=float(power), noise_var=noise_var)
 
 
 def db_to_linear(snr_db: float) -> float:

@@ -35,9 +35,9 @@ class PsedConfig:
     vector of step 3 is sparse. ``sparsity`` of None selects
     floor(0.15 n_t) when the config is bound to a system; ``tol`` of None
     selects the relative noiseless stopping rule 1e-9 ||y'||, while Monte
-    Carlo sweeps pass 0.0 to force exactly K recovery iterations.
-    ``error_var`` (only read by the LMMSE estimator) defaults to the
-    squared minimum constellation distance.
+    Carlo sweeps pass 0.0 to force exactly K recovery iterations. The
+    LMMSE support estimator takes the squared minimum constellation
+    distance as the error variance.
     """
 
     base_detector: str = linear_detectors.LMMSE
@@ -46,7 +46,6 @@ class PsedConfig:
     estimator: str = sparse_recovery.LS
     tol: float | None = None
     max_paths: int = sparse_recovery.DEFAULT_MAX_PATHS
-    error_var: float | None = None
 
     def __post_init__(self):
         if self.base_detector not in PSED_NAMES:
@@ -129,9 +128,6 @@ def psed_detect(
     s_hat = slicer.hard_slice(s_tilde, constellation)
     y_prime = sparse_transform(y, H, s_hat.values, power)
 
-    error_var = config.error_var
-    if error_var is None and config.estimator == sparse_recovery.LMMSE:
-        error_var = constellation.min_distance**2
     recovery_failed = False
     try:
         recovery = sparse_recovery.mmp(
@@ -143,7 +139,7 @@ def psed_detect(
             tol=config.tol,
             max_paths=config.max_paths,
             estimator=config.estimator,
-            error_var=error_var,
+            error_var=constellation.min_distance**2 if config.estimator == sparse_recovery.LMMSE else None,
             noise_var=noise_var,
             gram=gram,
         )

@@ -31,7 +31,7 @@ from psed import (
     support_recovery_prob,
     trace_inverse_limit,
 )
-from psed.analysis import inversion_multiplications
+from psed.analysis import RIP_BATCH, inversion_multiplications
 from tests.conftest import orthonormal_columns, seeded_channel
 
 # frozen oracle values (high-precision evaluation of the defining formulas)
@@ -83,6 +83,18 @@ class TestRipConstant:
         assert not sampled.exhaustive
         assert sampled.subsets_checked == 200
         assert sampled.delta <= exact.delta + 1e-12
+
+    def test_sampled_mode_scores_its_draws_across_batches(self):
+        H = orthonormal_columns(12, 6, seed=4) + 0.3 * seeded_channel(12, 6, seed=5)
+        n = RIP_BATCH + 7
+        gen = np.random.default_rng(9)
+        subsets = [tuple(gen.choice(6, size=3, replace=False)) for _ in range(n)]
+        gram = H.conj().T @ H
+        eig = [np.linalg.eigvalsh(gram[np.ix_(S, S)]) for S in subsets]
+        want = max(max(e[-1] - 1.0, 1.0 - e[0]) for e in eig)
+        est = rip_constant(H, 3, method="sampled", sample_size=n, rng=9)
+        assert est.subsets_checked == n and not est.exhaustive
+        assert est.delta == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_sampled_mode_deterministic_given_seed(self):
         H = seeded_channel(12, 10, seed=7)

@@ -1,5 +1,6 @@
 """Tests for the exhaustive ML and K-best reference detectors."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,6 @@ from psed import (
     ConfigurationError,
     DimensionError,
     DomainError,
-    KBestConfig,
     PsedConfig,
     draw_symbols,
     kbest_detect,
@@ -25,6 +25,15 @@ from tests.conftest import seeded_channel
 
 
 class TestMlDetect:
+    def test_alphabet_with_other_points_gets_its_own_candidates(self, qpsk):
+        H = seeded_channel(6, 3, seed=21)
+        s = qpsk.points[[0, 3, 1]]
+        ml_detect(H @ s, H, 1.0, qpsk)  # fills the cache for four points and n_t = 3
+        rotated = dataclasses.replace(qpsk, points=qpsk.points * np.exp(0.25j * np.pi))
+        s_rot = rotated.points[[2, 0, 1]]
+        np.testing.assert_array_equal(ml_detect(H @ s_rot, H, 1.0, rotated), s_rot)
+        np.testing.assert_array_equal(ml_detect(H @ s, H, 1.0, qpsk), s)
+
     def test_noiseless_recovers_transmitted(self, qpsk):
         H = seeded_channel(8, 6, seed=1)
         s = draw_symbols(qpsk, 6, rng_stream(1, "symbols"))
@@ -177,6 +186,3 @@ class TestKBest:
         H = seeded_channel(4, 3, seed=14)
         with pytest.raises(ConfigurationError):
             kbest_detect(np.zeros(4, dtype=np.complex128), H, 1.0, qpsk, m=0)
-        with pytest.raises(ConfigurationError):
-            KBestConfig(m=0)
-        assert KBestConfig(m=15).m == 15

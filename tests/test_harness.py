@@ -17,6 +17,7 @@ from psed import (
 )
 from psed.harness import SweepResult, SweepRow, snr_at_ser
 from psed.pipeline import PsedConfig
+from psed import harness as harness_module
 from psed import pipeline as pipeline_module
 
 FIVE_DETECTORS = ("MF", "LMMSE", "PSED-MF", "PSED-LMMSE", "KBEST")
@@ -101,6 +102,18 @@ class TestRunSweep:
         for snr in grid:
             alone = run_sweep(dataclasses.replace(cfg, snr_db_grid=(snr,)))
             assert alone.rows == (rows["KBEST", snr], rows["ML", snr])
+
+    def test_transmit_runs_once_per_trial(self, monkeypatch):
+        calls = []
+        transmit = harness_module.model.transmit
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[3]))
+            return transmit(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module.model, "transmit", counted)
+        run_sweep(tiny_config(detectors=FIVE_DETECTORS, snr_db_grid=(6.0, 10.0, 14.0), trials=4, kbest_m=4))
+        assert calls == [(3,)] * 4
 
     def test_ml_dimension_guard_fires_before_any_trial(self):
         with pytest.raises(ConfigurationError, match="ML"):
@@ -205,6 +218,45 @@ class TestCsvRoundTrip:
             dataclasses.replace(r, **{f: float(f"{getattr(r, f):.10g}") for f in floats}) for r in result.rows
         ]
         assert read_csv(path).rows == tuple(ten_digits)
+
+    CORE = "detector,n_r,n_t,snr_db,trials,symbol_errors,ser,mse,seed"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "detector,n_r,n_t,snr_db,trials,symbol_errors,ser,mse",
+            "detector,n_t,n_r,snr_db,trials,symbol_errors,ser,mse,seed",
+            "det,n_r,n_t,snr_db,trials,symbol_errors,ser,mse,seed,mse_conv_asymptotic,mse_psed_closed_form",
+        ],
+    )
+    def test_header_without_the_core_columns_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\nLMMSE,8,8,10,5,3,0.075,0.1,1\n")
+        with pytest.raises(PsedError, match="expected sweep header"):
+            read_csv(path)
+
+    def test_closed_form_pair_parses_with_nan_as_none(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_text(self.CORE + ",mse_conv_asymptotic,mse_psed_closed_form\nMF,32,64,10,5,3,0.075,0.1,1,0.25,nan\n")
+        (row,) = read_csv(path).rows
+        assert row == SweepRow("MF", 32, 64, 10.0, 5, 3, 0.075, 0.1, 1, 0.25, None)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ",note",
+            ",mse_conv_asymptotic",
+            ",mse_psed_closed_form,mse_conv_asymptotic",
+            ",mse_conv_asymptotic,mse_psed_closed_form,note",
+        ],
+    )
+    def test_other_trailing_columns_are_ignored(self, tmp_path, extra):
+        path = tmp_path / "extra.csv"
+        cells = ",0.5" * extra.count(",")
+        path.write_text(f"{self.CORE}{extra}\nMF,32,64,10,5,3,0.075,nan,1{cells}\n")
+        (row,) = read_csv(path).rows
+        assert row.mse_conv_asymptotic is None and row.mse_psed_closed_form is None
+        assert (row.detector, row.n_t, row.symbol_errors, row.ser) == ("MF", 64, 3, 0.075) and np.isnan(row.mse)
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(PsedError, match="cannot write"):

@@ -131,6 +131,36 @@ class TestTransmit:
             with pytest.raises(DomainError, match=f"^{name} "):
                 transmit(H_in, s_in, 1.0, noise_var, rng_stream(5, "noise"))
 
+    def test_stacked_variances_match_single_calls(self, qpsk):
+        H = generate_channel(8, 6, rng_stream(7, "channel"))
+        s = draw_symbols(qpsk, 6, rng_stream(7, "symbols"))
+        noise_vars = [0.5, 0.1, 0.0, 1e-3]
+        inst = transmit(H, s, 1.3, np.array(noise_vars), rng_stream(7, "noise", 4))
+        assert inst.y.shape == inst.v.shape == (4, 8)
+        for b, noise_var in enumerate(noise_vars):
+            alone = transmit(H, s, 1.3, noise_var, rng_stream(7, "noise", 4))
+            np.testing.assert_array_equal(inst.y[b], alone.y)
+            np.testing.assert_array_equal(inst.v[b], alone.v)
+        np.testing.assert_array_equal(inst.snr, [1.3 / 0.5, 1.3 / 0.1, np.inf, 1.3 / 1e-3])
+        errors = inst.rebuild_error()
+        assert errors.shape == (4,) and np.all(errors < 1e-12)
+
+    @pytest.mark.parametrize(
+        "noise_var, error, match",
+        [
+            (np.full((2, 2), 0.1), DimensionError, "noise_var"),
+            (np.array([0.1, -0.2]), ConfigurationError, "noise_var"),
+            (-0.2, ConfigurationError, "noise_var"),
+            (np.array([0.1, np.inf]), DomainError, "^noise_var "),
+            (np.array([np.nan, 0.1]), DomainError, "^noise_var "),
+        ],
+    )
+    def test_bad_noise_var_rejected(self, qpsk, noise_var, error, match):
+        H = generate_channel(8, 4, rng_stream(8, "channel"))
+        s = draw_symbols(qpsk, 4, rng_stream(8, "symbols"))
+        with pytest.raises(error, match=match):
+            transmit(H, s, 1.0, noise_var, rng_stream(8, "noise"))
+
     def test_deterministic(self, qpsk):
         H = generate_channel(8, 8, rng_stream(6, "channel"))
         s = draw_symbols(qpsk, 8, rng_stream(6, "symbols"))
