@@ -39,12 +39,10 @@ from .harness import SweepConfig, SweepResult, SweepRow, emit_csv, read_csv, run
 from .linear_detectors import WeightMatrix, detect, residual_stream_variance, weight_matrix
 from .model import (
     Constellation,
-    SnrSpec,
     SystemInstance,
     db_to_linear,
     draw_symbols,
     generate_channel,
-    linear_to_db,
     make_constellation,
     rng_stream,
     transmit,

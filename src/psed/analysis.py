@@ -82,6 +82,8 @@ def rip_constant(
             )
         subsets = combinations(range(n_t), K)
     elif method == "sampled":
+        if sample_size < 1:
+            raise ConfigurationError(f"sample_size must be >= 1, got {sample_size}")
         gen = np.random.default_rng(rng)
         subsets = (tuple(gen.choice(n_t, size=K, replace=False)) for _ in range(sample_size))
     else:
@@ -114,7 +116,6 @@ class GuaranteeReport:
     lam: float
     tau: float
     exact_recovery_condition: bool
-    min_signal_threshold: float
 
 
 def mmp_exact_condition(delta_lk: float, K: int, L: int) -> bool:
@@ -171,7 +172,6 @@ def mmp_support_threshold(
         lam=lam,
         tau=tau,
         exact_recovery_condition=mmp_exact_condition(delta_lk, K, L),
-        min_signal_threshold=tau,
     )
 
 

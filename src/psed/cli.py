@@ -2,8 +2,9 @@
 
 Configuration comes from an optional key=value text file plus CLI flags
 named after the same keys; a flag always wins over the file. Exit codes:
-0 success, 2 configuration error, 3 numerical failure (a flagged-trial
-log is written next to the output in that case).
+0 success, 2 configuration error (an output that cannot be written
+included), 3 numerical failure (a flagged-trial log is written next to
+the output in that case).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness, model
-from .errors import CapacityError, ConfigurationError, DimensionError, DomainError, SingularMatrixError
+from .errors import ConfigurationError, PsedError, SingularMatrixError
 from .harness import SweepConfig
 
 EXIT_OK = 0
@@ -122,12 +123,20 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 def _write_flagged_log(config_output: str | None, flagged, error: str | None = None) -> str:
     path = (config_output or "sweep") + ".flagged.log"
-    with open(path, "w", encoding="utf-8") as fh:
-        if error:
-            fh.write(f"numerical failure: {error}\n")
-        for detector, snr_db, trial in flagged:
-            fh.write(f"{detector},{snr_db:g},{trial}\n")
+    lines = [f"numerical failure: {error}"] if error else []
+    lines += [f"{detector},{snr_db:g},{trial}" for detector, snr_db, trial in flagged]
+    harness.write_text(path, "".join(line + "\n" for line in lines))
     return path
+
+
+def _emit_table(lines: list[str], output: str | None) -> None:
+    """Write a header line and its rows to `output`, or print them when it is not given."""
+    text = "\n".join(lines) + "\n"
+    if output:
+        harness.write_text(output, text)
+        print(f"wrote {len(lines) - 1} rows to {output}")
+    else:
+        print(text, end="")
 
 
 def _cmd_sweep(args: argparse.Namespace, mse_curves: bool) -> int:
@@ -157,13 +166,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
             f"{report.K if report.K is not None else ''},"
             f"{report.L if report.L is not None else ''},{report.total}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(lines) - 1} rows to {args.output}")
-    else:
-        print(text, end="")
+    _emit_table(lines, args.output)
     return EXIT_OK
 
 
@@ -182,13 +185,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"{snr_db:.10g},{beta:.10g},{sinr:.10g},{pe:.10g},"
             f"{mse_conv:.10g},{mse_bound:.10g},{mse_floor:.10g}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(grid)} rows to {args.output}")
-    else:
-        print(text, end="")
+    _emit_table(lines, args.output)
     return EXIT_OK
 
 
@@ -209,11 +206,11 @@ def _cmd_rip(args: argparse.Namespace) -> int:
     )
     print(line)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("K,delta,subsets_checked,exhaustive\n")
-            fh.write(
-                f"{estimate.K},{estimate.delta:.10g},{estimate.subsets_checked},{estimate.exhaustive}\n"
-            )
+        harness.write_text(
+            args.output,
+            "K,delta,subsets_checked,exhaustive\n"
+            f"{estimate.K},{estimate.delta:.10g},{estimate.subsets_checked},{estimate.exhaustive}\n",
+        )
     return EXIT_OK
 
 
@@ -271,12 +268,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rip":
             return _cmd_rip(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, CapacityError, DimensionError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except PsedError as exc:  # configuration, dimension, domain, capacity and I/O errors
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

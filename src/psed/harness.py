@@ -249,16 +249,21 @@ def _parse_value(text: str, annotation: str):
     return None if annotation == "float | None" and math.isnan(value) else value
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to `path`; a path that cannot be written raises PsedError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PsedError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_csv(result: SweepResult, path) -> None:
     """Write one row per (detector, SNR) cell; floats carry 10 significant digits."""
     columns = _CSV_COLUMNS if result.has_analytic_columns else _CSV_COLUMNS[:_CSV_CORE]
     lines = [",".join(c.name for c in columns)]
     lines += [",".join(_format_value(getattr(row, c.name), c.type) for c in columns) for row in result.rows]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise PsedError(f"cannot write CSV to {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path) -> SweepResult:
@@ -267,21 +272,31 @@ def read_csv(path) -> SweepResult:
     The header must start with the columns every sweep writes. The
     closed-form pair is read only when it is all that follows, and a
     ``nan`` there (a closed form undefined for the row's shape) reads back
-    as None; any other trailing columns are ignored.
+    as None; any other trailing columns are ignored. A missing file, a
+    short row or a cell that does not parse raises PsedError naming the
+    file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    except OSError as exc:
+        raise PsedError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise PsedError(f"{path} is empty")
-    header = tuple(lines[0].split(","))
+    header = tuple(lines[0][1].split(","))
     names = tuple(c.name for c in _CSV_COLUMNS)
     if header[:_CSV_CORE] != names[:_CSV_CORE]:
         raise PsedError(f"{path} does not carry the expected sweep header")
     columns = _CSV_COLUMNS if header == names else _CSV_COLUMNS[:_CSV_CORE]
     rows = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
-        rows.append(SweepRow(**{c.name: _parse_value(parts[i], c.type) for i, c in enumerate(columns)}))
+        if len(parts) < len(columns):
+            raise PsedError(f"{path}:{lineno}: expected {len(columns)} cells, got {len(parts)}")
+        try:
+            rows.append(SweepRow(**{c.name: _parse_value(parts[i], c.type) for i, c in enumerate(columns)}))
+        except ValueError as exc:
+            raise PsedError(f"{path}:{lineno}: {exc}") from exc
     return SweepResult(rows=tuple(rows))
 
 

@@ -67,24 +67,6 @@ def make_constellation(kind: str) -> Constellation:
 
 
 @dataclass(frozen=True)
-class SnrSpec:
-    """Linear SNR bookkeeping: per-transmit SNR, per-receive SNR, aspect ratio."""
-
-    snr: float
-    snr_rx: float
-    beta: float
-
-    @classmethod
-    def from_dims(cls, snr: float, n_r: int, n_t: int) -> "SnrSpec":
-        if snr <= 0:
-            raise ConfigurationError(f"snr must be positive, got {snr}")
-        if n_r < 1 or n_t < 1:
-            raise ConfigurationError(f"dimensions must be >= 1, got ({n_r}, {n_t})")
-        beta = n_t / n_r
-        return cls(snr=snr, snr_rx=beta * snr, beta=beta)
-
-
-@dataclass(frozen=True)
 class SystemInstance:
     """One realization of ``y = sqrt(P) H s + v``, or a stack of them.
 
@@ -182,7 +164,3 @@ def transmit(
 
 def db_to_linear(snr_db: float) -> float:
     return float(10.0 ** (snr_db / 10.0))
-
-
-def linear_to_db(snr: float) -> float:
-    return float(10.0 * np.log10(snr))

@@ -8,12 +8,15 @@ solution on the minimum-residual path. Orthogonal matching pursuit is
 the L = 1 case.
 
 Recovery operates on the scaled matrix A = sqrt(P) H so the pursuit
-pseudocode applies verbatim; estimates are rescaled back to the
-original system on output. The search itself runs on the Gram matrix
+pseudocode applies verbatim; an estimate x with A_S x = y' is also the
+estimate of e in y' = sqrt(P) H e. The search runs on the Gram matrix
 A^H A, as in Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008): a path
 carries its support, its estimate on that support and the inverse
-Cholesky factor of its Gram block, never an n_r- or n_t-long vector, and
-the support estimators re-solve from H only once, on the winning support.
+Cholesky factor of its Gram block, never an n_r- or n_t-long vector.
+The winning path's own estimate is the result: e_hat scatters it onto
+the support, and residual_norm is ||y' - A_S x|| formed from H once.
+`ls_on_support` and `lmmse_on_support` solve one support from H directly;
+they are references for the search, which never calls them.
 """
 
 from __future__ import annotations
@@ -165,30 +168,20 @@ def _resolve_tol(tol: float | None, y_norm: float) -> float:
     return float(tol)
 
 
-def _solve(
-    H: np.ndarray,
-    y_prime: np.ndarray,
-    power: float,
-    indices: tuple[int, ...],
-    estimator: str,
-    error_var: float | None,
-    noise_var: float | None,
-) -> tuple[np.ndarray, float]:
-    """Estimate on one support from scratch; returns (e_hat, residual norm)."""
-    if estimator == LS:
-        e_hat = ls_on_support(H, y_prime, power, indices)
-    else:
-        e_hat = lmmse_on_support(H, y_prime, power, indices, error_var, noise_var)
-    return e_hat, float(np.linalg.norm(y_prime - np.sqrt(power) * (H @ e_hat)))
+def _residuals(H: np.ndarray, y_prime: np.ndarray, power: float, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||y' - sqrt(P) H_S x|| of each path, one row of (idx, x) per path."""
+    fit = np.matmul(x[:, None, :], H.T[idx])[:, 0]
+    return np.linalg.norm(y_prime - np.sqrt(power) * fit, axis=1)
 
 
 def omp(H: np.ndarray, y_prime: np.ndarray, power: float, K: int, tol: float | None = None) -> RecoveryResult:
     """Orthogonal matching pursuit for at most K iterations.
 
     Each iteration appends the not-yet-selected column most correlated
-    with the residual, re-solves least squares on the accumulated
-    support, and stops early once the residual norm drops to `tol`
-    (default 1e-9 times the norm of y'). This is `mmp` with L = 1.
+    with the residual, updates the least-squares estimate on the
+    accumulated support, and stops early once the residual norm drops to
+    `tol` (default 1e-9 times the norm of y'). This is `mmp` with L = 1,
+    so e_hat and residual_norm come from the search's own estimate.
     """
     return mmp(H, y_prime, power, K, L=1, tol=tol)
 
@@ -215,12 +208,13 @@ def mmp(
     dropped. When a layer exceeds `max_paths` candidates only the
     smallest-residual paths survive, ties toward the earlier child. After
     K layers, or once a residual norm drops to `tol`, the minimum-residual
-    path wins and its estimate is re-solved on the full support. With
-    L = 1 the search is `omp`.
+    path wins. Its own estimate, kept along the search, is e_hat, and
+    residual_norm is ||y' - sqrt(P) H_S e_hat_S|| formed directly from H.
+    With L = 1 the search is `omp`.
 
     The default estimator solves least squares per path; `estimator="LMMSE"`
     (requires `error_var` and `noise_var`) applies the regularized solve
-    instead, both along the paths and in the final re-solve.
+    instead.
 
     The search runs on G = A^H A with A = sqrt(P) H, formed as P (H^H H)
     whether or not the caller passes H^H H as `gram`. The regularized solve
@@ -271,7 +265,7 @@ def mmp(
     tol2 = _resolve_tol(tol, float(np.linalg.norm(y_prime))) ** 2
     # The Gram-domain residual energy carries an absolute error of about
     # eps ||y'||^2; below this level the stop test and the final choice use
-    # the residual of a fresh solve instead.
+    # the residual ||y' - A_S x||^2 of the path's own x instead.
     exact_below = tol2 + 64 * np.finfo(float).eps * y2
 
     # One row per path of the current layer: support, estimate, R^-1 and ||r~||^2.
@@ -287,8 +281,8 @@ def mmp(
         low = score.min()
         if low <= exact_below:
             score = score.copy()  # it may share memory with r2
-            for p in np.flatnonzero(score <= exact_below):
-                score[p] = _solve(H, y_prime, power, tuple(idx[p]), estimator, error_var, noise_var)[1] ** 2
+            near = np.flatnonzero(score <= exact_below)
+            score[near] = _residuals(H, y_prime, power, idx[near], x[near]) ** 2
             low = score.min()
         if iterations == K or low <= tol2:
             break
@@ -354,12 +348,12 @@ def mmp(
         iterations += 1
 
     best = int(np.argmin(score))
-    indices = tuple(int(i) for i in idx[best])
-    e_hat, residual_norm = _solve(H, y_prime, power, indices, estimator, error_var, noise_var)
+    e_hat = np.zeros(n_t, dtype=np.complex128)
+    e_hat[idx[best]] = x[best]
     return RecoveryResult(
-        support=SupportSet(indices),
+        support=SupportSet(idx[best]),
         e_hat=e_hat,
-        residual_norm=residual_norm,
+        residual_norm=float(_residuals(H, y_prime, power, idx[best : best + 1], x[best : best + 1])[0]),
         paths_explored=paths_explored,
         iterations=iterations,
     )

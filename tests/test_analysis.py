@@ -102,6 +102,12 @@ class TestRipConstant:
         b = rip_constant(H, 3, method="sampled", sample_size=100, rng=42)
         assert a.delta == b.delta
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_sampled_mode_without_draws_rejected(self, size):
+        # zero draws would report a vacuous delta = 0
+        with pytest.raises(ConfigurationError, match="sample_size"):
+            rip_constant(seeded_channel(6, 5, seed=7), 2, method="sampled", sample_size=size)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         # NaN distortions would otherwise be dropped by max() and report delta=0
@@ -150,7 +156,6 @@ class TestRecoveryConditions:
             assert abs(rep.mu - (sl + sk) / sl) < 1e-12
             assert abs(rep.lam - math.sqrt(2.0)) < 1e-12
             assert rep.tau == max(rep.gamma, rep.mu, rep.lam)
-            assert rep.min_signal_threshold == rep.tau
             assert rep.exact_recovery_condition
 
     def test_frozen_oracle_point(self):

@@ -278,3 +278,21 @@ class TestRipCommand:
         assert main(["rip", "--n_r", "16", "--n_t", "20", "--seed", "0", "--K", "2",
                      "--method", "sampled"]) == 0
         assert "exhaustive=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep-ser", "--n_r", "8", "--n_t", "8", "--detectors", "LMMSE", "--trials", "1"], id="sweep-ser"),
+        pytest.param(["sweep-mse", "--n_r", "8", "--n_t", "8", "--constellation", "BPSK", "--trials", "1"], id="sweep-mse"),
+        pytest.param(["complexity", "--n_r", "8", "--n_t", "8", "--detectors", "MF"], id="complexity"),
+        pytest.param(["analyze", "--snr_db_grid", "10"], id="analyze"),
+        pytest.param(["rip", "--n_r", "8", "--n_t", "6", "--K", "2"], id="rip"),
+    ],
+)
+def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "absent" / "x.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("configuration error: cannot write") and err.count("\n") == 1

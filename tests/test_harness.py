@@ -258,6 +258,23 @@ class TestCsvRoundTrip:
         assert row.mse_conv_asymptotic is None and row.mse_psed_closed_form is None
         assert (row.detector, row.n_t, row.symbol_errors, row.ser) == ("MF", 64, 3, 0.075) and np.isnan(row.mse)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param("MF,8,8", "expected 9 cells, got 3", id="short-row"),
+            pytest.param("MF,8,eight,10,5,3,0.075,0.1,1", "invalid literal", id="non-numeric-cell"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.CORE}\nMF,8,8,10,5,3,0.075,0.1,1\n\n{row}\n")
+        with pytest.raises(PsedError, match=f"bad.csv:4: {message}"):
+            read_csv(path)
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(PsedError, match="cannot read .*absent.csv"):
+            read_csv(tmp_path / "absent.csv")
+
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(PsedError, match="cannot write"):
             emit_csv(SweepResult(rows=()), tmp_path / "no" / "such" / "dir.csv")

@@ -99,3 +99,30 @@ def test_matches_reference_on_noiseless_early_stop(n, K):
         y = H @ random_sparse(n, 2, seed=6000 + seed)
         assert_same_search(H, y, K, L=2)
         assert mmp(H, y, 1.0, K=K, L=2).iterations == 2
+
+
+@pytest.mark.parametrize("f", [0.8, 1.0])
+@pytest.mark.parametrize(
+    "n, K, seeds",
+    [
+        pytest.param(32, 4, 40, id="32-4"),
+        pytest.param(64, 9, 24, id="64-9"),
+        pytest.param(128, 19, 8, id="128-19"),
+    ],
+)
+def test_matches_reference_on_noise_level_early_stop(n, K, seeds, f):
+    # tol = f sqrt(n_r sigma^2), the residual norm expected once the true
+    # support is found, stops many searches before K layers; the near-tol
+    # scores then come from each path's own residual.
+    scale = 0.2
+    tol = f * np.sqrt(n * 2 * scale**2)
+    stopped = 0
+    for seed in range(seeds):
+        H = seeded_channel(n, n, seed=7000 + seed)
+        e = random_sparse(n, K // 2 + seed % 3, seed=7000 + seed)
+        y = H @ e + complex_noise(n, seed=7000 + seed, scale=scale)
+        estimator = "LS" if seed % 2 == 0 else "LMMSE"
+        kwargs = dict(L=2, tol=tol, estimator=estimator, error_var=ERROR_VAR, noise_var=NOISE_VAR)
+        assert_same_search(H, y, K, **kwargs)
+        stopped += mmp(H, y, 1.0, K=K, **kwargs).iterations < K
+    assert stopped > 0

@@ -7,7 +7,6 @@ from psed import (
     ConfigurationError,
     DimensionError,
     DomainError,
-    SnrSpec,
     draw_symbols,
     generate_channel,
     make_constellation,
@@ -167,17 +166,6 @@ class TestTransmit:
         a = transmit(H, s, 1.0, 0.1, rng_stream(6, "noise", 9))
         b = transmit(H, s, 1.0, 0.1, rng_stream(6, "noise", 9))
         np.testing.assert_array_equal(a.y, b.y)
-
-
-class TestSnrSpec:
-    def test_fields(self):
-        spec = SnrSpec.from_dims(10.0, n_r=64, n_t=32)
-        assert spec.beta == 0.5
-        assert abs(spec.snr_rx - spec.beta * spec.snr) < 1e-12
-
-    def test_rejects_nonpositive_snr(self):
-        with pytest.raises(ConfigurationError):
-            SnrSpec.from_dims(0.0, 8, 8)
 
 
 class TestSymbolUniformity:
