@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DimensionError, DomainError, require_finite
+from .errors import CapacityError, ConfigurationError, DomainError, require_system
 from .linear_detectors import DETECTOR_KINDS, LMMSE
 from .pipeline import PSED_NAMES
 
@@ -65,10 +65,7 @@ def rip_constant(
     subset budget); sampled mode draws uniform supports and reports a
     lower bound flagged non-exhaustive.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2:
-        raise DimensionError(f"H must be a 2-D matrix, got shape {H.shape}")
-    require_finite(H=H)
+    H, _, _ = require_system(H)
     n_t = H.shape[1]
     if not 1 <= K <= n_t:
         raise ConfigurationError(f"K must be in [1, {n_t}], got {K}")
@@ -358,7 +355,7 @@ def stream_correlation(H: np.ndarray, power: float, noise_var: float, i: int, j:
     """
     if i == j:
         raise ConfigurationError("stream indices must differ")
-    H = np.asarray(H, dtype=np.complex128)
+    H, _, _ = require_system(H, power=power, noise_var=noise_var)
     alpha = noise_var / power
     resolvent = H @ H.conj().T + alpha * np.eye(H.shape[0])
     return complex(power * (H[:, i].conj() @ np.linalg.solve(resolvent, H[:, j])))

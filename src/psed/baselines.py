@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, require_finite, require_observation
+from .errors import CapacityError, ConfigurationError, require_system
 from .model import BPSK, Constellation
 
 _ML_MAX_DIM = {BPSK: 12, "QPSK": 8}
@@ -29,6 +29,7 @@ def _candidates(points: bytes, n_t: int) -> np.ndarray:
 
 def ml_cost(y: np.ndarray, H: np.ndarray, power: float, s: np.ndarray) -> float:
     """The cost every detector here is trying to minimize."""
+    H, y, s = require_system(H, y, s=s, power=power)
     return float(np.linalg.norm(y - np.sqrt(power) * (H @ s)) ** 2)
 
 
@@ -45,13 +46,9 @@ def ml_detect(
     same H, and the result is (n_t,) or (B, n_t) accordingly; the received
     signal of every candidate is formed once per call. Enumerates every
     candidate symbol vector, so n_t is capped (default 12 for BPSK, 8 for
-    QPSK) to keep the search from blowing up. A y that does not fit H
-    raises DimensionError, a non-finite y or H DomainError.
+    QPSK) to keep the search from blowing up.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    require_observation(y, H, stacked=True)
-    require_finite(y=y, H=H)
+    H, y, _ = require_system(H, y, power=power, stacked=True)
     n_t = H.shape[1]
     cap = max_dim if max_dim is not None else ml_max_dim(constellation.kind)
     if n_t > cap:
@@ -84,10 +81,7 @@ def _kbest_search(
     full candidate equals |Q^H y - R s|^2. Equal metrics keep the child
     enumerated first, survivor by survivor and point by point.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    require_observation(y, H, stacked=True)
-    require_finite(y=y, H=H)
+    H, y, _ = require_system(H, y, power=power, stacked=True)
     n_r, n_t = H.shape
     if n_r < n_t:
         raise ConfigurationError(
@@ -140,8 +134,7 @@ def kbest_detect(
     """K-best detection: keep the m best partial candidates per layer.
 
     y is one observation (n_r,) or a stack (B, n_r) of observations of the
-    same H, and the result is (n_t,) or (B, n_t) accordingly. A y that does
-    not fit H raises DimensionError, a non-finite y or H DomainError.
+    same H, and the result is (n_t,) or (B, n_t) accordingly.
     """
     symbols, _ = _kbest_search(y, H, power, constellation, m)
     return symbols

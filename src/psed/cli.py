@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -139,9 +140,21 @@ def _emit_table(lines: list[str], output: str | None) -> None:
         print(text, end="")
 
 
+def _require_writable(path: str) -> None:
+    """Raise PsedError now if `path` cannot be opened for writing; leave no file the check created."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise PsedError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sweep(args: argparse.Namespace, mse_curves: bool) -> int:
     config = build_sweep_config(args)
     output = config.output or ("sweep-mse.csv" if mse_curves else "sweep-ser.csv")
+    _require_writable(output)  # before the first trial, so a long sweep cannot lose its results
     try:
         result = harness.run_mse_curves(config) if mse_curves else harness.run_sweep(config)
     except (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError) as exc:

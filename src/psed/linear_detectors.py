@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularMatrixError, require_finite, require_observation
+from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_system
 
 MF = "MF"
 LMMSE = "LMMSE"
 
 DETECTOR_KINDS = (MF, LMMSE)
-
-_COND_LIMIT = 1e12
 
 
 class WeightMatrix:
@@ -65,12 +63,10 @@ def weight_matrix(
 
     `gram` is H^H H when the caller has already formed it; LMMSE weights
     keep that array itself, so the caller must not change it afterwards,
-    and MF weights ignore it. A non-finite H or noise_var raises
-    DomainError; an LMMSE Gram with condition number above 1e12 raises
-    SingularMatrixError.
+    and MF weights ignore it. An LMMSE Gram with condition number above
+    1e12 raises SingularMatrixError.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    require_finite(H=H, noise_var=noise_var)
+    H, _, _ = require_system(H, power=power, noise_var=noise_var)
     sqrt_p = np.sqrt(power)
     if kind == MF:
         return WeightMatrix(kind, H / sqrt_p)
@@ -91,13 +87,9 @@ def weight_matrix(
 
 
 def detect(weights: WeightMatrix | np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights.
-
-    A y that is not one observation (n_r,) raises DimensionError.
-    """
-    y = np.asarray(y)
-    M = weights._mat if isinstance(weights, WeightMatrix) else np.asarray(weights)
-    require_observation(y, M)
+    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights."""
+    M = weights._mat if isinstance(weights, WeightMatrix) else weights
+    M, y, _ = require_system(M, y)
     s_tilde = M.conj().T @ y
     if isinstance(weights, WeightMatrix) and weights._gram is not None:
         s_tilde = np.linalg.solve(weights._regularised_gram(), s_tilde)
@@ -114,7 +106,7 @@ def residual_stream_variance(
 
     from column i alone: Gram-held weights give w_i = H G^-1 e_i by one solve.
     """
-    H = np.asarray(H)
+    H, _, _ = require_system(H, power=power, noise_var=noise_var)
     if isinstance(weights, WeightMatrix) and weights._gram is not None:
         e_i = np.zeros(weights._gram.shape[0], dtype=np.complex128)
         e_i[i] = 1.0

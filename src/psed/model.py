@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, require_finite
+from .errors import ConfigurationError, require_system
 
 BPSK = "BPSK"
 QPSK = "QPSK"
@@ -138,21 +138,10 @@ def transmit(
     noise_var is one variance or a 1-D array of B of them. The unit noise is
     drawn once and scaled to each variance, so ``v`` and ``y`` are (n_r,) or
     (B, n_r), and row b equals a call with ``noise_var[b]`` alone on the same
-    stream. A non-finite H, s or noise_var raises DomainError, a noise_var of
-    more than one dimension DimensionError.
+    stream.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
+    H, _, s = require_system(H, s=s, power=power, noise_var=noise_var, stacked=True)
     noise_var = np.asarray(noise_var, dtype=np.float64)
-    require_finite(H=H, s=s, noise_var=noise_var)
-    if H.ndim != 2 or s.ndim != 1 or H.shape[1] != s.shape[0]:
-        raise DimensionError(f"H has shape {H.shape} but s has shape {s.shape}")
-    if noise_var.ndim > 1:
-        raise DimensionError(f"noise_var must be a scalar or 1-D, got shape {noise_var.shape}")
-    if power <= 0:
-        raise ConfigurationError(f"power must be positive, got {power}")
-    if (noise_var < 0).any():
-        raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
     rng = np.random.default_rng(rng)
     n_r = H.shape[0]
     unit = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)

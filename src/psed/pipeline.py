@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear_detectors, slicer, sparse_recovery
-from .errors import ConfigurationError, DimensionError, SingularMatrixError, require_finite, require_observation
+from .errors import ConfigurationError, SingularMatrixError, require_system
 from .model import Constellation
 from .slicer import SlicedVector
 from .sparse_recovery import RecoveryResult, SupportSet
@@ -54,10 +54,7 @@ class PsedConfig:
             )
         if self.sparsity is not None and self.sparsity < 1:
             raise ConfigurationError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.branch < 1:
-            raise ConfigurationError(f"branch count must be >= 1, got {self.branch}")
-        if self.estimator not in (sparse_recovery.LS, sparse_recovery.LMMSE):
-            raise ConfigurationError(f"estimator must be LS or LMMSE, got {self.estimator!r}")
+        sparse_recovery._check_search(self.branch, self.max_paths, self.estimator, self.tol)
 
     def bound_sparsity(self, n_t: int) -> int:
         """Sparsity budget for a system with n_t streams."""
@@ -91,13 +88,7 @@ def sparse_transform(y: np.ndarray, H: np.ndarray, s_hat: np.ndarray, power: flo
     If s_hat misses the true symbols in a few entries, y' equals
     sqrt(P) H e + v with e the sparse slicing-error vector.
     """
-    y = np.asarray(y)
-    H = np.asarray(H)
-    s_hat = np.asarray(s_hat)
-    if H.shape != (y.shape[0], s_hat.shape[0]):
-        raise DimensionError(
-            f"shapes do not conform: y {y.shape}, H {H.shape}, s_hat {s_hat.shape}"
-        )
+    H, y, s_hat = require_system(H, y, s=s_hat, power=power)
     return y - np.sqrt(power) * (H @ s_hat)
 
 
@@ -112,14 +103,9 @@ def psed_detect(
     """Run the full detect / slice / transform / recover / correct pipeline.
 
     A singular recovery subproblem is not fatal: the output falls back to
-    the sliced step-2 estimate and the trial is flagged. A y that is not one
-    observation of H raises DimensionError; a non-finite y, H or noise_var
-    raises DomainError.
+    the sliced step-2 estimate and the trial is flagged.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    require_observation(y, H)
-    require_finite(y=y, H=H)  # weight_matrix below rejects a non-finite noise_var
+    H, y, _ = require_system(H, y, power=power, noise_var=noise_var)
     k = config.bound_sparsity(H.shape[1])
 
     gram = H.conj().T @ H  # shared by the LMMSE weights and the MMP search

@@ -26,12 +26,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularMatrixError, require_observation
+from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_system
 
 LS = "LS"
 LMMSE = "LMMSE"
 
-_COND_LIMIT = 1e12
 # A column is dependent on a path's support when ||P_perp a_j||^2 is at most
 # _RANK_TOL * max(||a_j||^2, 1), with a_j augmented as in `mmp`. The Gram-domain
 # projection energy resolves ||P_perp a_j|| only to about sqrt(eps), so a
@@ -113,9 +112,7 @@ def ls_on_support(H: np.ndarray, y_prime: np.ndarray, power: float, support) -> 
     full-length vector. Solved by a rank-revealing factorization; the
     matching-pursuit callers keep their own incremental factorizations.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    y_prime = np.asarray(y_prime, dtype=np.complex128)
-    require_observation(y_prime, H)
+    H, y_prime, _ = require_system(H, y_prime, power=power)
     idx = _as_indices(support)
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
     if not idx:
@@ -144,11 +141,7 @@ def lmmse_on_support(
     """
     if error_var <= 0:
         raise ConfigurationError(f"error_var must be positive, got {error_var}")
-    if noise_var < 0:
-        raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
-    H = np.asarray(H, dtype=np.complex128)
-    y_prime = np.asarray(y_prime, dtype=np.complex128)
-    require_observation(y_prime, H)
+    H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
     idx = _as_indices(support)
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
     if not idx:
@@ -160,12 +153,16 @@ def lmmse_on_support(
     return e_hat
 
 
-def _resolve_tol(tol: float | None, y_norm: float) -> float:
-    if tol is None:
-        return 1e-9 * y_norm
-    if tol < 0:
+def _check_search(L: int, max_paths: int, estimator: str, tol: float | None) -> None:
+    """Raise ConfigurationError on a search setting `mmp` cannot run with."""
+    if L < 1:
+        raise ConfigurationError(f"branch count L must be >= 1, got {L}")
+    if max_paths < 1:
+        raise ConfigurationError(f"max_paths must be >= 1, got {max_paths}")
+    if estimator not in (LS, LMMSE):
+        raise ConfigurationError(f"unknown estimator {estimator!r}; expected LS or LMMSE")
+    if tol is not None and not tol >= 0:
         raise ConfigurationError(f"tol must be >= 0, got {tol}")
-    return float(tol)
 
 
 def _residuals(H: np.ndarray, y_prime: np.ndarray, power: float, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -231,27 +228,18 @@ def mmp(
     ||y' - A x'||^2 as a direct regularized solve would. Survivors of the
     `max_paths` cut extend R^-1 by one bordered column.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    y_prime = np.asarray(y_prime, dtype=np.complex128)
-    require_observation(y_prime, H)
+    H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
     if K < 1:
         raise ConfigurationError(f"sparsity K must be >= 1, got {K}")
     if K > H.shape[1]:
         raise ConfigurationError(f"sparsity K={K} exceeds the {H.shape[1]} available columns")
-    if L < 1:
-        raise ConfigurationError(f"branch count L must be >= 1, got {L}")
-    if max_paths < 1:
-        raise ConfigurationError(f"max_paths must be >= 1, got {max_paths}")
-    if estimator not in (LS, LMMSE):
-        raise ConfigurationError(f"unknown estimator {estimator!r}; expected LS or LMMSE")
+    _check_search(L, max_paths, estimator, tol)
     rho = 0.0
     if estimator == LMMSE:
         if error_var is None or noise_var is None:
             raise ConfigurationError("estimator='LMMSE' requires error_var and noise_var")
         if error_var <= 0:
             raise ConfigurationError(f"error_var must be positive, got {error_var}")
-        if noise_var < 0:
-            raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
         rho = noise_var / error_var
 
     n_t = H.shape[1]
@@ -262,7 +250,7 @@ def mmp(
     rank_floor = _RANK_TOL * np.maximum(col_energy, 1.0)
     c0 = np.sqrt(power) * (H.conj().T @ y_prime)
     y2 = float(np.vdot(y_prime, y_prime).real)
-    tol2 = _resolve_tol(tol, float(np.linalg.norm(y_prime))) ** 2
+    tol2 = (1e-9 * float(np.linalg.norm(y_prime)) if tol is None else float(tol)) ** 2
     # The Gram-domain residual energy carries an absolute error of about
     # eps ||y'||^2; below this level the stop test and the final choice use
     # the residual ||y' - A_S x||^2 of the path's own x instead.

@@ -194,6 +194,7 @@ class TestSweepCommands:
              "--trials", "1", "--output", str(out)]
         )
         assert code == 3
+        assert not out.exists()  # only a sweep that completes leaves its output
         log = tmp_path / "z.csv.flagged.log"
         assert log.exists()
         assert "synthetic failure" in log.read_text()
@@ -290,9 +291,14 @@ class TestRipCommand:
         pytest.param(["rip", "--n_r", "8", "--n_t", "6", "--K", "2"], id="rip"),
     ],
 )
-def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the output was checked")
+
+    monkeypatch.setattr(harness_module, "_run_trial", no_trial)
     out = tmp_path / "absent" / "x.csv"
     assert main([*argv, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("configuration error: cannot write") and err.count("\n") == 1
+

@@ -191,3 +191,7 @@ class TestPsedConfig:
             PsedConfig(branch=0)
         with pytest.raises(ConfigurationError):
             PsedConfig(estimator="MAP")
+        with pytest.raises(ConfigurationError, match="max_paths"):
+            PsedConfig(max_paths=0)
+        with pytest.raises(ConfigurationError, match="tol"):
+            PsedConfig(tol=-1.0)
