@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DomainError, require_system
+from .errors import CapacityError, ConfigurationError, DomainError, require_count, require_system
 from .linear_detectors import DETECTOR_KINDS, LMMSE
 from .pipeline import PSED_NAMES
 
@@ -67,8 +67,8 @@ def rip_constant(
     """
     H, _, _ = require_system(H)
     n_t = H.shape[1]
-    if not 1 <= K <= n_t:
-        raise ConfigurationError(f"K must be in [1, {n_t}], got {K}")
+    K = require_count("K", K, 1, n_t)
+    sample_size = require_count("sample_size", sample_size)
     gram = H.conj().T @ H
     if method == "exhaustive":
         total = math.comb(n_t, K)
@@ -79,8 +79,6 @@ def rip_constant(
             )
         subsets = combinations(range(n_t), K)
     elif method == "sampled":
-        if sample_size < 1:
-            raise ConfigurationError(f"sample_size must be >= 1, got {sample_size}")
         gen = np.random.default_rng(rng)
         subsets = (tuple(gen.choice(n_t, size=K, replace=False)) for _ in range(sample_size))
     else:
@@ -117,10 +115,9 @@ class GuaranteeReport:
 
 def mmp_exact_condition(delta_lk: float, K: int, L: int) -> bool:
     """Noiseless exact-recovery test: delta_{K+L} < sqrt(L) / (sqrt(K) + 2 sqrt(L))."""
-    if delta_lk < 0:
-        raise DomainError(f"delta must be >= 0, got {delta_lk}")
-    if K < 1 or L < 1:
-        raise ConfigurationError(f"K and L must be >= 1, got ({K}, {L})")
+    if not delta_lk >= 0:
+        raise DomainError(f"delta_lk must be >= 0, got {delta_lk}")
+    K, L = require_count("K", K), require_count("L", L)
     return delta_lk < math.sqrt(L) / (math.sqrt(K) + 2.0 * math.sqrt(L))
 
 
@@ -133,11 +130,10 @@ def mmp_support_threshold(
     caller multiplies tau by the noise norm to get the minimum signal
     magnitude that guarantees support identification.
     """
-    for name, d in (("delta_lk", delta_lk), ("delta_k", delta_k), ("delta_2k", delta_2k)):
-        if d < 0:
+    exact = mmp_exact_condition(delta_lk, K, L)  # checks delta_lk, K and L first
+    for name, d in (("delta_k", delta_k), ("delta_2k", delta_2k)):
+        if not d >= 0:
             raise DomainError(f"{name} must be >= 0, got {d}")
-    if K < 1 or L < 1:
-        raise ConfigurationError(f"K and L must be >= 1, got ({K}, {L})")
     sqrt_l, sqrt_k, sqrt_lk = math.sqrt(L), math.sqrt(K), math.sqrt(L * K)
 
     den_gamma = sqrt_lk - (sqrt_lk + K) * delta_lk
@@ -168,7 +164,7 @@ def mmp_support_threshold(
         mu=mu,
         lam=lam,
         tau=tau,
-        exact_recovery_condition=mmp_exact_condition(delta_lk, K, L),
+        exact_recovery_condition=exact,
     )
 
 
@@ -180,11 +176,12 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
     using the integer-order finite sum for the regularized upper gamma
     function, accumulated in log space.
     """
-    if n_r < 1:
-        raise ConfigurationError(f"n_r must be >= 1, got {n_r}")
-    if noise_var <= 0:
+    n_r = require_count("n_r", n_r)
+    if not d >= 0:
+        raise DomainError(f"d must be >= 0, got {d}")
+    if not noise_var > 0:
         raise DomainError(f"noise_var must be positive, got {noise_var}")
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
     x = d * d / (noise_var * tau * tau)
     if x == 0.0:
@@ -211,25 +208,25 @@ def _f_functional(x: float, z: float) -> float:
 
 def asymptotic_sinr(snr: float, beta: float) -> float:
     """Deterministic per-stream LMMSE output SINR in the large-system limit."""
-    if snr < 0:
+    if not snr >= 0:
         raise DomainError(f"snr must be >= 0, got {snr}")
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
     return snr - _f_functional(snr, beta) / 4.0
 
 
 def pe_bpsk(sinr: float) -> float:
     """Per-stream BPSK error probability Q(sqrt(2 sinr)) at a given output SINR."""
-    if sinr < 0:
+    if not sinr >= 0:
         raise DomainError(f"sinr must be >= 0, got {sinr}")
     return 0.5 * math.erfc(math.sqrt(sinr))
 
 
 def mse_conv_asymptotic(snr: float, beta: float) -> float:
     """Large-system normalized MSE of the conventional LMMSE detector."""
-    if snr <= 0:
+    if not snr > 0:
         raise DomainError(f"snr must be positive, got {snr}")
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
     return 1.0 - _f_functional(snr, beta) / (4.0 * beta * snr)
 
@@ -240,11 +237,11 @@ def mse_psed_bound(snr: float, beta: float, p_e: float, simplified: bool = False
     The full form is (1/snr) p_e / (1 - p_e beta); `simplified` selects
     the high-SNR reduction p_e / snr.
     """
-    if snr <= 0:
+    if not snr > 0:
         raise DomainError(f"snr must be positive, got {snr}")
     if not 0.0 <= p_e < 1.0:
         raise DomainError(f"p_e must be in [0, 1), got {p_e}")
-    if p_e * beta >= 1.0:
+    if not p_e * beta < 1.0:
         raise DomainError(f"p_e * beta = {p_e * beta:g} must be < 1")
     if simplified:
         return p_e / snr
@@ -256,11 +253,11 @@ def mse_psed_closed_form(snr: float, beta: float) -> float:
 
     Decays exponentially with SNR; defined for beta <= 1 only.
     """
-    if snr <= 0:
+    if not snr > 0:
         raise DomainError(f"snr must be positive, got {snr}")
     if beta > 1:
         raise DomainError(f"no closed form for beta > 1, got beta={beta}")
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
     if beta == 1.0:
         return snr ** (-5.0 / 4.0) * math.exp(-math.sqrt(snr)) / (2.0 * math.sqrt(math.pi))
@@ -304,16 +301,12 @@ def complexity_count(
         raise ConfigurationError(
             f"unknown detector {detector!r}; expected one of {COMPLEXITY_DETECTORS}"
         )
-    if n_r < 1 or n_t < 1:
-        raise ConfigurationError(f"dimensions must be >= 1, got ({n_r}, {n_t})")
+    n_r, n_t = require_count("n_r", n_r), require_count("n_t", n_t)
     is_psed = detector in PSED_NAMES.values()
     if is_psed:
         if K is None or L is None:
             raise ConfigurationError(f"{detector} requires K and L")
-        if not 1 <= K <= n_t:
-            raise ConfigurationError(f"K must be in [1, {n_t}], got {K}")
-        if L < 1:
-            raise ConfigurationError(f"L must be >= 1, got {L}")
+        K, L = require_count("K", K, 1, n_t), require_count("L", L)
 
     lmmse_weights = detector in (LMMSE, PSED_NAMES[LMMSE])
     rows = {
@@ -353,9 +346,10 @@ def stream_correlation(H: np.ndarray, power: float, noise_var: float, i: int, j:
     Evaluates P h_i^H (H H^H + (1/snr) I)^-1 h_j directly; the streams
     decorrelate as the system grows.
     """
+    H, _, _ = require_system(H, power=power, noise_var=noise_var)
+    i, j = require_count("i", i, 0, H.shape[1] - 1), require_count("j", j, 0, H.shape[1] - 1)
     if i == j:
         raise ConfigurationError("stream indices must differ")
-    H, _, _ = require_system(H, power=power, noise_var=noise_var)
     alpha = noise_var / power
     resolvent = H @ H.conj().T + alpha * np.eye(H.shape[0])
     return complex(power * (H[:, i].conj() @ np.linalg.solve(resolvent, H[:, j])))
@@ -370,9 +364,8 @@ def error_count_concentration(n_t: int, p_e: float, epsilon: float) -> float:
     """
     if not 0.0 < p_e < 1.0:
         raise DomainError(f"p_e must be in (0, 1), got {p_e}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if n_t < 1:
-        raise ConfigurationError(f"n_t must be >= 1, got {n_t}")
+    n_t = require_count("n_t", n_t)
     sigma = math.sqrt(p_e * (1.0 - p_e) / n_t)
     return math.erfc(epsilon / (sigma * math.sqrt(2.0)))

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, require_system
+from .errors import CapacityError, ConfigurationError, require_count, require_system
 from .model import BPSK, Constellation
 
 _ML_MAX_DIM = {BPSK: 12, "QPSK": 8}
@@ -15,6 +15,12 @@ _ML_MAX_DIM = {BPSK: 12, "QPSK": 8}
 def ml_max_dim(constellation_kind: str) -> int:
     """Largest n_t the exhaustive ML search accepts by default."""
     return _ML_MAX_DIM.get(constellation_kind, 8)
+
+
+def require_kbest_shape(n_r: int, n_t: int) -> None:
+    """Raise ConfigurationError unless n_r >= n_t, as the triangular system of K-best needs."""
+    if n_r < n_t:
+        raise ConfigurationError(f"K-best needs n_r >= n_t for a triangular system, got ({n_r}, {n_t})")
 
 
 @lru_cache(maxsize=8)
@@ -50,7 +56,7 @@ def ml_detect(
     """
     H, y, _ = require_system(H, y, power=power, stacked=True)
     n_t = H.shape[1]
-    cap = max_dim if max_dim is not None else ml_max_dim(constellation.kind)
+    cap = ml_max_dim(constellation.kind) if max_dim is None else require_count("max_dim", max_dim)
     if n_t > cap:
         raise CapacityError(
             f"exhaustive ML with n_t={n_t} exceeds max_dim={cap} "
@@ -83,12 +89,8 @@ def _kbest_search(
     """
     H, y, _ = require_system(H, y, power=power, stacked=True)
     n_r, n_t = H.shape
-    if n_r < n_t:
-        raise ConfigurationError(
-            f"K-best needs n_r >= n_t for a triangular system, got ({n_r}, {n_t})"
-        )
-    if m < 1:
-        raise ConfigurationError(f"K-best survivor count must be >= 1, got {m}")
+    require_kbest_shape(n_r, n_t)
+    m = require_count("m", m)
     Q, R = np.linalg.qr(np.sqrt(power) * H)
     Qh = Q.conj().T
     z = np.array([Qh @ obs for obs in y.reshape(-1, n_r)])  # one gemv per observation

@@ -23,6 +23,7 @@ from .harness import SweepConfig
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+NUMERICAL_FAILURES = (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError)
 
 # Sweep presets at desk scale; square256 is long-running and opt-in.
 PRESETS = {
@@ -107,12 +108,10 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
             target, parse, _ = CONFIG_KEYS[key]
             group, _, name = target.rpartition(".")
             (psed_fields if group else fields)[name] = parse(text)
-        default = SweepConfig()
-        config = dataclasses.replace(default, psed=dataclasses.replace(default.psed, **psed_fields), **fields)
     except ValueError as exc:
         raise ConfigurationError(f"bad configuration value: {exc}") from exc
-    config.validate()
-    return config
+    default = SweepConfig()
+    return dataclasses.replace(default, psed=dataclasses.replace(default.psed, **psed_fields), **fields)
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -157,7 +156,7 @@ def _cmd_sweep(args: argparse.Namespace, mse_curves: bool) -> int:
     _require_writable(output)  # before the first trial, so a long sweep cannot lose its results
     try:
         result = harness.run_mse_curves(config) if mse_curves else harness.run_sweep(config)
-    except (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         log_path = _write_flagged_log(config.output, (), error=str(exc))
         print(f"numerical failure: {exc} (log: {log_path})", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -281,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rip":
             return _cmd_rip(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PsedError as exc:  # configuration, dimension, domain, capacity and I/O errors

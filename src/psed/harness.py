@@ -20,7 +20,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import analysis, baselines, linear_detectors, model, pipeline
-from .errors import ConfigurationError, PsedError
+from .errors import ConfigurationError, PsedError, require_count
 from .linear_detectors import LMMSE, MF
 from .model import db_to_linear, make_constellation, rng_stream
 from .pipeline import PSED_NAMES, PsedConfig
@@ -37,7 +37,7 @@ SWEEP_DETECTORS = (MF, LMMSE, PSED_MF, PSED_LMMSE, KBEST, ML)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything one sweep needs; every field maps to a config-file key."""
+    """Everything one sweep needs; every field maps to a config-file key and is checked when built."""
 
     n_r: int = 32
     n_t: int = 32
@@ -51,36 +51,24 @@ class SweepConfig:
     output: str | None = None
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("n_r", "n_t", "trials", "workers", "kbest_m"):
+            require_count(name, getattr(self, name))
+        require_count("master_seed", self.master_seed, low=0)
         if not self.snr_db_grid:
             raise ConfigurationError("snr_db_grid must be non-empty")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.n_r < 1 or self.n_t < 1:
-            raise ConfigurationError(f"dimensions must be >= 1, got ({self.n_r}, {self.n_t})")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if not self.detectors:
             raise ConfigurationError("detector list must be non-empty")
         for det in self.detectors:
             if det not in SWEEP_DETECTORS:
                 raise ConfigurationError(f"unknown detector {det!r}; expected one of {SWEEP_DETECTORS}")
         make_constellation(self.constellation)
-        if ML in self.detectors:
-            # Refuse up front rather than mid-sweep.
-            cap = baselines.ml_max_dim(self.constellation)
-            if self.n_t > cap:
-                raise ConfigurationError(
-                    f"ML detection infeasible: n_t={self.n_t} exceeds max_dim={cap} for "
-                    f"{self.constellation}"
-                )
+        if ML in self.detectors and self.n_t > (cap := baselines.ml_max_dim(self.constellation)):
+            raise ConfigurationError(
+                f"ML detection infeasible: n_t={self.n_t} exceeds max_dim={cap} for {self.constellation}"
+            )
         if KBEST in self.detectors:
-            if self.kbest_m < 1:
-                raise ConfigurationError(f"kbest_m must be >= 1, got {self.kbest_m}")
-            if self.n_r < self.n_t:
-                raise ConfigurationError(
-                    f"K-best needs n_r >= n_t, got ({self.n_r}, {self.n_t})"
-                )
+            baselines.require_kbest_shape(self.n_r, self.n_t)
         self.psed.bound_sparsity(self.n_t)
 
 
@@ -175,7 +163,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     With workers > 1 one process pool runs chunks of trials, each trial
     through every cell, and returns them in trial order.
     """
-    config.validate()
     trials = range(config.trials)
     if config.workers == 1:
         per_trial = [_run_trial(config, t) for t in trials]

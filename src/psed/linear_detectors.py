@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_system
+from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_count, require_system
 
 MF = "MF"
 LMMSE = "LMMSE"
@@ -107,6 +107,7 @@ def residual_stream_variance(
     from column i alone: Gram-held weights give w_i = H G^-1 e_i by one solve.
     """
     H, _, _ = require_system(H, power=power, noise_var=noise_var)
+    i = require_count("i", i, 0, H.shape[1] - 1)
     if isinstance(weights, WeightMatrix) and weights._gram is not None:
         e_i = np.zeros(weights._gram.shape[0], dtype=np.complex128)
         e_i[i] = 1.0

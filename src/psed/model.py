@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, require_system
+from .errors import ConfigurationError, require_count, require_system
 
 BPSK = "BPSK"
 QPSK = "QPSK"
@@ -106,14 +106,14 @@ def rng_stream(master_seed: int, tag: str, trial_index: int = 0) -> np.random.Ge
     The tag is folded through CRC-32 so streams are stable across runs and
     interpreters (Python's hash() is salted and unusable here).
     """
-    entropy = (int(master_seed), zlib.crc32(tag.encode("utf-8")), int(trial_index))
+    entropy = (require_count("master_seed", master_seed, low=0), zlib.crc32(tag.encode("utf-8")),
+               require_count("trial_index", trial_index, low=0))
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def generate_channel(n_r: int, n_t: int, rng: np.random.Generator | int) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian channel, entry variance 1/n_r."""
-    if n_r < 1 or n_t < 1:
-        raise ConfigurationError(f"channel dimensions must be >= 1, got ({n_r}, {n_t})")
+    n_r, n_t = require_count("n_r", n_r), require_count("n_t", n_t)
     rng = np.random.default_rng(rng)
     scale = np.sqrt(1.0 / (2.0 * n_r))
     return scale * (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t)))
@@ -121,6 +121,7 @@ def generate_channel(n_r: int, n_t: int, rng: np.random.Generator | int) -> np.n
 
 def draw_symbols(constellation: Constellation, n_t: int, rng: np.random.Generator | int) -> np.ndarray:
     """Draw n_t symbols uniformly from the constellation."""
+    n_t = require_count("n_t", n_t)
     rng = np.random.default_rng(rng)
     idx = rng.integers(0, len(constellation), size=n_t)
     return constellation.points[idx]

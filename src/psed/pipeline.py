@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear_detectors, slicer, sparse_recovery
-from .errors import ConfigurationError, SingularMatrixError, require_system
+from .errors import ConfigurationError, SingularMatrixError, require_count, require_system
 from .model import Constellation
 from .slicer import SlicedVector
 from .sparse_recovery import RecoveryResult, SupportSet
@@ -52,16 +52,16 @@ class PsedConfig:
             raise ConfigurationError(
                 f"base detector must be one of {tuple(PSED_NAMES)}, got {self.base_detector!r}"
             )
-        if self.sparsity is not None and self.sparsity < 1:
-            raise ConfigurationError(f"sparsity must be >= 1, got {self.sparsity}")
-        sparse_recovery._check_search(self.branch, self.max_paths, self.estimator, self.tol)
+        if self.sparsity is not None:
+            require_count("sparsity", self.sparsity)
+        require_count("branch", self.branch)
+        require_count("max_paths", self.max_paths)
+        sparse_recovery._check_search(self.estimator, self.tol)
 
     def bound_sparsity(self, n_t: int) -> int:
         """Sparsity budget for a system with n_t streams."""
         k = self.sparsity if self.sparsity is not None else max(1, math.floor(DEFAULT_SPARSITY_FRACTION * n_t))
-        if k > n_t:
-            raise ConfigurationError(f"sparsity {k} exceeds the number of streams {n_t}")
-        return k
+        return require_count("sparsity", k, 1, n_t)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import DimensionError, require_finite
 from .model import Constellation
 
 
@@ -21,10 +21,12 @@ def hard_slice(values: np.ndarray | complex, constellation: Constellation) -> Sl
     """Map each entry to the nearest constellation point.
 
     Ties are broken toward the lowest constellation index, so the result is
-    deterministic even on decision boundaries. A NaN or infinite entry has
-    no nearest point and raises DomainError.
+    deterministic even on decision boundaries. A NaN or infinite entry
+    raises DomainError, and input of more than one dimension DimensionError.
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    if values.ndim > 1:
+        raise DimensionError(f"values must be a scalar or 1-D, got shape {values.shape}")
     require_finite(values=values)
     dist = np.abs(values[:, None] - constellation.points[None, :])
     idx = np.argmin(dist, axis=1)  # argmin returns the first (lowest) index on ties

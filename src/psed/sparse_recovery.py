@@ -27,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_system
+from .errors import require_count, require_positive
 
 LS = "LS"
 LMMSE = "LMMSE"
@@ -50,11 +51,9 @@ class SupportSet:
     __slots__ = ("indices",)
 
     def __init__(self, indices: Iterable[int] = ()):
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(require_count("indices", i, low=0) for i in indices)
         if len(set(indices)) != len(indices):
             raise ConfigurationError(f"support contains duplicate indices: {indices}")
-        if any(i < 0 for i in indices):
-            raise ConfigurationError(f"support indices must be non-negative: {indices}")
         object.__setattr__(self, "indices", indices)
 
     def __setattr__(self, name, value):
@@ -99,10 +98,9 @@ class RecoveryResult:
     iterations: int
 
 
-def _as_indices(support) -> tuple[int, ...]:
-    if isinstance(support, SupportSet):
-        return support.indices
-    return SupportSet(support).indices
+def _columns(support, n_t: int) -> list[int]:
+    """The indices of `support`, each an integer in [0, n_t - 1], with no repeats."""
+    return list(SupportSet(require_count("support", i, 0, n_t - 1) for i in support).indices)
 
 
 def ls_on_support(H: np.ndarray, y_prime: np.ndarray, power: float, support) -> np.ndarray:
@@ -113,17 +111,17 @@ def ls_on_support(H: np.ndarray, y_prime: np.ndarray, power: float, support) -> 
     matching-pursuit callers keep their own incremental factorizations.
     """
     H, y_prime, _ = require_system(H, y_prime, power=power)
-    idx = _as_indices(support)
+    idx = _columns(support, H.shape[1])
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
     if not idx:
         return e_hat
     if len(idx) > H.shape[0]:
         raise ConfigurationError(f"support size {len(idx)} exceeds {H.shape[0]} measurements")
-    A_s = np.sqrt(power) * H[:, list(idx)]
+    A_s = np.sqrt(power) * H[:, idx]
     coef, _, _, sv = np.linalg.lstsq(A_s, y_prime, rcond=None)
     if sv[0] > _COND_LIMIT * sv[-1]:  # cond(A_s) from the singular values lstsq computed
-        raise SingularMatrixError(f"rank-deficient submatrix on support {list(idx)}")
-    e_hat[list(idx)] = coef
+        raise SingularMatrixError(f"rank-deficient submatrix on support {idx}")
+    e_hat[idx] = coef
     return e_hat
 
 
@@ -139,26 +137,21 @@ def lmmse_on_support(
 
     Returns (1/sqrt(P)) (H_S^H H_S + (noise_var / (P error_var)) I)^-1 H_S^H y'.
     """
-    if error_var <= 0:
-        raise ConfigurationError(f"error_var must be positive, got {error_var}")
+    require_positive("error_var", error_var)
     H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
-    idx = _as_indices(support)
+    idx = _columns(support, H.shape[1])
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
     if not idx:
         return e_hat
-    H_s = H[:, list(idx)]
+    H_s = H[:, idx]
     gram = H_s.conj().T @ H_s + (noise_var / (power * error_var)) * np.eye(len(idx))
     coef = np.linalg.solve(gram, H_s.conj().T @ y_prime) / np.sqrt(power)
-    e_hat[list(idx)] = coef
+    e_hat[idx] = coef
     return e_hat
 
 
-def _check_search(L: int, max_paths: int, estimator: str, tol: float | None) -> None:
-    """Raise ConfigurationError on a search setting `mmp` cannot run with."""
-    if L < 1:
-        raise ConfigurationError(f"branch count L must be >= 1, got {L}")
-    if max_paths < 1:
-        raise ConfigurationError(f"max_paths must be >= 1, got {max_paths}")
+def _check_search(estimator: str, tol: float | None) -> None:
+    """Raise ConfigurationError on an estimator or tolerance `mmp` cannot run with."""
     if estimator not in (LS, LMMSE):
         raise ConfigurationError(f"unknown estimator {estimator!r}; expected LS or LMMSE")
     if tol is not None and not tol >= 0:
@@ -229,18 +222,15 @@ def mmp(
     `max_paths` cut extend R^-1 by one bordered column.
     """
     H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
-    if K < 1:
-        raise ConfigurationError(f"sparsity K must be >= 1, got {K}")
-    if K > H.shape[1]:
-        raise ConfigurationError(f"sparsity K={K} exceeds the {H.shape[1]} available columns")
-    _check_search(L, max_paths, estimator, tol)
+    K = require_count("K", K, 1, H.shape[1])
+    L = require_count("L", L)
+    max_paths = require_count("max_paths", max_paths)
+    _check_search(estimator, tol)
     rho = 0.0
     if estimator == LMMSE:
         if error_var is None or noise_var is None:
             raise ConfigurationError("estimator='LMMSE' requires error_var and noise_var")
-        if error_var <= 0:
-            raise ConfigurationError(f"error_var must be positive, got {error_var}")
-        rho = noise_var / error_var
+        rho = noise_var / require_positive("error_var", error_var)
 
     n_t = H.shape[1]
     gram = power * (H.conj().T @ H if gram is None else gram)

@@ -302,3 +302,19 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, argv):
     assert "Traceback" not in err
     assert err.startswith("configuration error: cannot write") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep-ser", "--master_seed", "-1", "--n_r", "8", "--n_t", "8", "--trials", "1"], id="sweep-seed"),
+        pytest.param(["rip", "--seed", "-1", "--K", "2"], id="rip-seed"),
+        pytest.param(["analyze", "--beta", "nan"], id="analyze-beta"),
+    ],
+)
+def test_bad_setting_is_one_config_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not list(tmp_path.iterdir())

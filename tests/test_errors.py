@@ -1,4 +1,4 @@
-"""The input gate: every entry point that takes part of y = sqrt(P) H s + v rejects bad input alike."""
+"""The input gates: every entry point rejects a bad part of y = sqrt(P) H s + v, count or index alike."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,33 @@ from psed import (
     DimensionError,
     DomainError,
     PsedConfig,
+    SupportSet,
+    SweepConfig,
+    asymptotic_sinr,
+    complexity_count,
     detect,
+    draw_symbols,
+    error_count_concentration,
+    generate_channel,
     kbest_detect,
     lmmse_on_support,
     ls_on_support,
     make_constellation,
     ml_detect,
     mmp,
+    mmp_exact_condition,
+    mmp_support_threshold,
+    mse_conv_asymptotic,
+    mse_psed_bound,
+    mse_psed_closed_form,
     omp,
+    pe_bpsk,
     psed_detect,
     residual_stream_variance,
     rip_constant,
+    rng_stream,
     sparse_transform,
+    support_recovery_prob,
     transmit,
     weight_matrix,
 )
@@ -95,9 +110,15 @@ BAD_INPUTS = [
     ("power", "-1", lambda p: -1.0, ConfigurationError),
     ("power", "nan", lambda p: np.nan, DomainError),
     ("power", "inf", lambda p: np.inf, DomainError),
+    ("power", "complex", lambda p: 1.0 + 1.0j, DomainError),
+    ("power", "numpy-complex", lambda p: np.complex128(1.0), DomainError),
+    ("power", "text", lambda p: "1.0", DomainError),
     ("noise_var", "-0.1", lambda nv: -0.1, ConfigurationError),
     ("noise_var", "nan", lambda nv: np.nan, DomainError),
     ("noise_var", "2-D", lambda nv: np.full((2, 2), nv), DimensionError),
+    ("noise_var", "complex", lambda nv: nv + 1.0j, DomainError),
+    ("noise_var", "complex-1-D", lambda nv: np.array([nv + 1.0j]), DomainError),
+    ("noise_var", "text", lambda nv: "0.1", DomainError),
 ]
 
 
@@ -118,3 +139,99 @@ def test_bad_input_raises_named_error(entry, arg, bad, error):
     args = dict(VALID, **{arg: bad(VALID[arg])})
     with pytest.raises(error, match=f"^{arg} "):
         ENTRY_POINTS[entry][1](args)
+
+
+# Every count and index a caller sets: (entry point, parameter, low, high, call
+# with the parameter set to a value). `low` itself must be accepted; 2.5, NaN,
+# True, low - 1 and high + 1 must raise ConfigurationError naming the parameter.
+Y0 = VALID["y"]
+SETTINGS = [
+    ("mmp", "K", 1, 6, lambda v: mmp(H0, Y0, 1.0, K=v, L=2)),
+    ("mmp", "L", 1, None, lambda v: mmp(H0, Y0, 1.0, K=2, L=v)),
+    ("mmp", "max_paths", 1, None, lambda v: mmp(H0, Y0, 1.0, K=2, L=2, max_paths=v)),
+    ("omp", "K", 1, 6, lambda v: omp(H0, Y0, 1.0, K=v)),
+    ("PsedConfig", "sparsity", 1, None, lambda v: PsedConfig(sparsity=v)),
+    ("PsedConfig", "branch", 1, None, lambda v: PsedConfig(branch=v)),
+    ("PsedConfig", "max_paths", 1, None, lambda v: PsedConfig(max_paths=v)),
+    ("PsedConfig.bound_sparsity", "sparsity", 1, 6, lambda v: PsedConfig(sparsity=v).bound_sparsity(6)),
+    ("SupportSet", "indices", 0, None, lambda v: SupportSet([v])),
+    ("ls_on_support", "support", 0, 5, lambda v: ls_on_support(H0, Y0, 1.0, [v])),
+    ("lmmse_on_support", "support", 0, 5, lambda v: lmmse_on_support(H0, Y0, 1.0, [v], 1.0, 0.1)),
+    ("residual_stream_variance", "i", 0, 5, lambda v: residual_stream_variance(H0, WEIGHTS, 1.0, 0.1, v)),
+    ("stream_correlation", "i", 0, 5, lambda v: stream_correlation(H0, 1.0, 0.1, v, 3)),
+    ("stream_correlation", "j", 0, 5, lambda v: stream_correlation(H0, 1.0, 0.1, 3, v)),
+    ("rip_constant", "K", 1, 6, lambda v: rip_constant(H0, v)),
+    ("rip_constant", "sample_size", 1, None, lambda v: rip_constant(H0, 2, "sampled", sample_size=v, rng=0)),
+    ("complexity_count", "n_r", 1, None, lambda v: complexity_count("PSED-LMMSE", v, 8, K=1, L=1)),
+    ("complexity_count", "n_t", 1, None, lambda v: complexity_count("PSED-LMMSE", 8, v, K=1, L=1)),
+    ("complexity_count", "K", 1, 8, lambda v: complexity_count("PSED-LMMSE", 8, 8, K=v, L=1)),
+    ("complexity_count", "L", 1, None, lambda v: complexity_count("PSED-LMMSE", 8, 8, K=1, L=v)),
+    ("mmp_exact_condition", "K", 1, None, lambda v: mmp_exact_condition(0.1, K=v, L=2)),
+    ("mmp_exact_condition", "L", 1, None, lambda v: mmp_exact_condition(0.1, K=2, L=v)),
+    ("mmp_support_threshold", "K", 1, None, lambda v: mmp_support_threshold(0.05, 0.05, 0.1, K=v, L=2)),
+    ("mmp_support_threshold", "L", 1, None, lambda v: mmp_support_threshold(0.05, 0.05, 0.1, K=1, L=v)),
+    ("support_recovery_prob", "n_r", 1, None, lambda v: support_recovery_prob(v, 1.0, 0.1, 2.0)),
+    ("error_count_concentration", "n_t", 1, None, lambda v: error_count_concentration(v, 0.1, 0.05)),
+    ("kbest_detect", "m", 1, None, lambda v: kbest_detect(Y0, H0, 1.0, QPSK, m=v)),
+    ("ml_detect", "max_dim", 1, None, lambda v: ml_detect(Y0, H0[:, :1], 1.0, QPSK, max_dim=v)),
+    ("generate_channel", "n_r", 1, None, lambda v: generate_channel(v, 4, 0)),
+    ("generate_channel", "n_t", 1, None, lambda v: generate_channel(4, v, 0)),
+    ("draw_symbols", "n_t", 1, None, lambda v: draw_symbols(QPSK, v, 0)),
+    ("rng_stream", "master_seed", 0, None, lambda v: rng_stream(v, "channel", 0)),
+    ("rng_stream", "trial_index", 0, None, lambda v: rng_stream(0, "channel", v)),
+    *(
+        ("SweepConfig", name, 1, None, lambda v, name=name: SweepConfig(**{name: v}))
+        for name in ("n_r", "n_t", "trials", "workers", "kbest_m")
+    ),
+    ("SweepConfig", "master_seed", 0, None, lambda v: SweepConfig(master_seed=v)),
+]
+
+
+def bad_settings():
+    for entry, name, low, high, call in SETTINGS:
+        bad = {"2.5": 2.5, "nan": np.nan, "True": True, "below": low - 1}
+        if high is not None:
+            bad["above"] = high + 1
+        for label, value in bad.items():
+            yield pytest.param(call, name, value, id=f"{entry}-{name}-{label}")
+
+
+@pytest.mark.parametrize("call, low", [pytest.param(c, low, id=f"{e}-{n}") for e, n, low, _, c in SETTINGS])
+def test_valid_setting_accepted(call, low):
+    call(low)
+    call(np.int64(low))
+
+
+@pytest.mark.parametrize("call, name, value", bad_settings())
+def test_bad_setting_raises_named_error(call, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} "):
+        call(value)
+
+
+# Each closed form with valid arguments; NaN in any float argument must raise DomainError.
+CLOSED_FORMS = [
+    (asymptotic_sinr, dict(snr=10.0, beta=1.0)),
+    (pe_bpsk, dict(sinr=2.0)),
+    (mse_conv_asymptotic, dict(snr=10.0, beta=1.0)),
+    (mse_psed_bound, dict(snr=10.0, beta=1.0, p_e=0.01)),
+    (mse_psed_closed_form, dict(snr=10.0, beta=0.5)),
+    (support_recovery_prob, dict(n_r=8, d=1.0, noise_var=0.1, tau=2.0)),
+    (error_count_concentration, dict(n_t=64, p_e=0.1, epsilon=0.05)),
+    (mmp_exact_condition, dict(delta_lk=0.1, K=2, L=2)),
+    (mmp_support_threshold, dict(delta_lk=0.05, delta_k=0.05, delta_2k=0.1, K=2, L=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs, arg",
+    [
+        pytest.param(fn, kwargs, arg, id=f"{fn.__name__}-{arg}")
+        for fn, kwargs in CLOSED_FORMS
+        for arg, value in kwargs.items()
+        if isinstance(value, float)
+    ],
+)
+def test_closed_form_refuses_nan(fn, kwargs, arg):
+    fn(**kwargs)
+    with pytest.raises(DomainError):
+        fn(**dict(kwargs, **{arg: np.nan}))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psed import DomainError, hard_slice, make_constellation
+from psed import DimensionError, DomainError, hard_slice, make_constellation
 
 finite_complex = st.builds(
     complex,
@@ -45,3 +45,7 @@ class TestHardSlice:
         # argmin over NaN distances would silently pick constellation point 0
         with pytest.raises(DomainError, match="^values "):
             hard_slice(np.array([bad, 1 + 1j]), qpsk)
+
+    def test_multi_dimensional_input_rejected(self, qpsk):
+        with pytest.raises(DimensionError, match="^values "):
+            hard_slice(np.ones((2, 3), dtype=np.complex128), qpsk)
