@@ -177,8 +177,8 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
     function, accumulated in log space.
     """
     n_r = require_count("n_r", n_r)
-    if not d >= 0:
-        raise DomainError(f"d must be >= 0, got {d}")
+    if not 0 <= d < math.inf:
+        raise DomainError(f"d must be finite and >= 0, got {d}")
     if not noise_var > 0:
         raise DomainError(f"noise_var must be positive, got {noise_var}")
     if not tau > 0:
@@ -208,10 +208,10 @@ def _f_functional(x: float, z: float) -> float:
 
 def asymptotic_sinr(snr: float, beta: float) -> float:
     """Deterministic per-stream LMMSE output SINR in the large-system limit."""
-    if not snr >= 0:
-        raise DomainError(f"snr must be >= 0, got {snr}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0 <= snr < math.inf:
+        raise DomainError(f"snr must be finite and >= 0, got {snr}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     return snr - _f_functional(snr, beta) / 4.0
 
 
@@ -224,10 +224,10 @@ def pe_bpsk(sinr: float) -> float:
 
 def mse_conv_asymptotic(snr: float, beta: float) -> float:
     """Large-system normalized MSE of the conventional LMMSE detector."""
-    if not snr > 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0 < snr < math.inf:
+        raise DomainError(f"snr must be finite and positive, got {snr}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     return 1.0 - _f_functional(snr, beta) / (4.0 * beta * snr)
 
 

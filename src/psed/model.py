@@ -82,14 +82,6 @@ class SystemInstance:
     noise_var: float | np.ndarray
 
     @property
-    def n_r(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.H.shape[1]
-
-    @property
     def snr(self) -> float | np.ndarray:
         """P / noise_var, infinite at zero noise; one per row when stacked."""
         with np.errstate(divide="ignore"):

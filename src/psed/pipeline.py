@@ -108,8 +108,7 @@ def psed_detect(
     H, y, _ = require_system(H, y, power=power, noise_var=noise_var)
     k = config.bound_sparsity(H.shape[1])
 
-    gram = H.conj().T @ H  # shared by the LMMSE weights and the MMP search
-    weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var, gram=gram)
+    weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var)
     s_tilde = linear_detectors.detect(weights, y)
     s_hat = slicer.hard_slice(s_tilde, constellation)
     y_prime = sparse_transform(y, H, s_hat.values, power)
@@ -127,7 +126,7 @@ def psed_detect(
             estimator=config.estimator,
             error_var=constellation.min_distance**2 if config.estimator == sparse_recovery.LMMSE else None,
             noise_var=noise_var,
-            gram=gram,
+            gram=weights.gram,  # LMMSE weights' own H^H H; None for MF, and mmp forms it
         )
     except SingularMatrixError:
         recovery_failed = True

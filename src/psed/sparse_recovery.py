@@ -22,7 +22,6 @@ they are references for the search, which never calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -40,33 +39,28 @@ _RANK_TOL = 1e-10
 DEFAULT_MAX_PATHS = 64
 
 
+@dataclass(frozen=True, eq=False)
 class SupportSet:
     """Ordered index set with order-insensitive equality.
 
-    Indices are 0-based column indices into H. Selection order is
-    preserved for inspection, but two supports compare equal whenever
-    they contain the same indices.
+    Indices are 0-based column indices into H, given as any iterable and
+    held as a tuple. Selection order is preserved for inspection, but two
+    supports compare equal whenever they contain the same indices.
     """
 
-    __slots__ = ("indices",)
+    indices: tuple[int, ...] = ()
 
-    def __init__(self, indices: Iterable[int] = ()):
-        indices = tuple(require_count("indices", i, low=0) for i in indices)
+    def __post_init__(self):
+        indices = tuple(require_count("indices", i, low=0) for i in self.indices)
         if len(set(indices)) != len(indices):
             raise ConfigurationError(f"support contains duplicate indices: {indices}")
         object.__setattr__(self, "indices", indices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportSet is immutable")
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, item) -> bool:
-        return item in self.indices
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SupportSet):
@@ -77,9 +71,6 @@ class SupportSet:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.indices))
-
-    def __repr__(self) -> str:
-        return f"SupportSet({list(self.indices)})"
 
 
 @dataclass(frozen=True)

@@ -222,16 +222,38 @@ CLOSED_FORMS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "fn, kwargs, arg",
-    [
-        pytest.param(fn, kwargs, arg, id=f"{fn.__name__}-{arg}")
-        for fn, kwargs in CLOSED_FORMS
-        for arg, value in kwargs.items()
-        if isinstance(value, float)
-    ],
-)
+FLOAT_ARGS = [
+    pytest.param(fn, kwargs, arg, id=f"{fn.__name__}-{arg}")
+    for fn, kwargs in CLOSED_FORMS
+    for arg, value in kwargs.items()
+    if isinstance(value, float)
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, arg", FLOAT_ARGS)
 def test_closed_form_refuses_nan(fn, kwargs, arg):
     fn(**kwargs)
     with pytest.raises(DomainError):
         fn(**dict(kwargs, **{arg: np.nan}))
+
+
+# The true limits at infinity; an infinite value in any other float argument must raise DomainError.
+LIMITS_AT_INFINITY = {
+    ("pe_bpsk", "sinr"): 0.0,
+    ("mse_psed_bound", "snr"): 0.0,
+    ("mse_psed_closed_form", "snr"): 0.0,
+    ("support_recovery_prob", "noise_var"): 0.0,
+    ("support_recovery_prob", "tau"): 0.0,
+    ("error_count_concentration", "epsilon"): 0.0,
+    ("mmp_exact_condition", "delta_lk"): False,
+}
+
+
+@pytest.mark.parametrize("fn, kwargs, arg", FLOAT_ARGS)
+def test_closed_form_limit_or_refusal_at_infinity(fn, kwargs, arg):
+    inf_kwargs = dict(kwargs, **{arg: np.inf})
+    if (fn.__name__, arg) in LIMITS_AT_INFINITY:
+        assert fn(**inf_kwargs) == LIMITS_AT_INFINITY[fn.__name__, arg]
+    else:
+        with pytest.raises(DomainError):
+            fn(**inf_kwargs)

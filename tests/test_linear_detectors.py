@@ -12,6 +12,7 @@ from psed import (
     detect,
     draw_symbols,
     generate_channel,
+    mmp,
     residual_stream_variance,
     rng_stream,
     transmit,
@@ -126,6 +127,24 @@ class TestGramHeldWeights:
         assert np.linalg.norm(before - expected) <= 1e-10 * np.linalg.norm(expected)
         assert np.linalg.norm(weights.W - W_ref) <= 1e-10 * np.linalg.norm(W_ref)
         np.testing.assert_array_equal(detect(weights, y), before)
+
+    def test_own_gram_is_shared_with_mmp_unchanged(self):
+        # psed_detect hands weights.gram to mmp; the search must neither change it nor answer differently.
+        H = seeded_channel(32, 32, seed=9)
+        y = complex_noise(32, seed=9)
+        weights = weight_matrix(H, "LMMSE", 1.0, 0.1)
+        np.testing.assert_array_equal(weights.gram, H.conj().T @ H)
+        before = detect(weights, y)
+        shared = mmp(H, y, 1.0, K=4, L=2, gram=weights.gram)
+        np.testing.assert_array_equal(shared.e_hat, mmp(H, y, 1.0, K=4, L=2).e_hat)
+        np.testing.assert_array_equal(weights.gram, H.conj().T @ H)
+        np.testing.assert_array_equal(detect(weights, y), before)
+
+    @pytest.mark.parametrize("field", ["kind", "M", "gram", "rho", "G"])
+    def test_weights_are_immutable(self, field):
+        weights = weight_matrix(seeded_channel(8, 6, seed=7), "LMMSE", 1.0, 0.1)
+        with pytest.raises(AttributeError):
+            setattr(weights, field, None)
 
 
 class TestResidualStreamVariance:

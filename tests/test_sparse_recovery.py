@@ -49,6 +49,12 @@ class TestSupportSet:
         s = SupportSet([4, 9])
         assert 4 in s and 9 in s and 2 not in s
 
+    def test_immutable(self):
+        s = SupportSet([4, 9])
+        with pytest.raises(AttributeError):
+            s.indices = (1,)
+        assert s.indices == (4, 9)
+
 
 class TestLsOnSupport:
     def test_full_square_support_inverts(self):
