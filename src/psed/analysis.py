@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DomainError, require_count, require_system
+from .errors import CapacityError, ConfigurationError, DomainError, require_count, require_real, require_system
 from .linear_detectors import DETECTOR_KINDS, LMMSE
 from .pipeline import PSED_NAMES
 
@@ -115,8 +115,7 @@ class GuaranteeReport:
 
 def mmp_exact_condition(delta_lk: float, K: int, L: int) -> bool:
     """Noiseless exact-recovery test: delta_{K+L} < sqrt(L) / (sqrt(K) + 2 sqrt(L))."""
-    if not delta_lk >= 0:
-        raise DomainError(f"delta_lk must be >= 0, got {delta_lk}")
+    delta_lk = require_real("delta_lk", delta_lk, "[0, inf]")
     K, L = require_count("K", K), require_count("L", L)
     return delta_lk < math.sqrt(L) / (math.sqrt(K) + 2.0 * math.sqrt(L))
 
@@ -131,23 +130,22 @@ def mmp_support_threshold(
     magnitude that guarantees support identification.
     """
     exact = mmp_exact_condition(delta_lk, K, L)  # checks delta_lk, K and L first
-    for name, d in (("delta_k", delta_k), ("delta_2k", delta_2k)):
-        if not d >= 0:
-            raise DomainError(f"{name} must be >= 0, got {d}")
+    delta_k = require_real("delta_k", delta_k, "[0, inf]")
+    delta_2k = require_real("delta_2k", delta_2k, "[0, inf]")
     sqrt_l, sqrt_k, sqrt_lk = math.sqrt(L), math.sqrt(K), math.sqrt(L * K)
 
     den_gamma = sqrt_lk - (sqrt_lk + K) * delta_lk
-    if den_gamma <= 0:
+    if not den_gamma > 0:
         raise DomainError(
             f"gamma denominator sqrt(LK) - (sqrt(LK)+K) delta_lk = {den_gamma:g} is not positive"
         )
     den_mu = sqrt_l - (2.0 * sqrt_l + sqrt_k) * delta_lk
-    if den_mu <= 0:
+    if not den_mu > 0:
         raise DomainError(
             f"mu denominator sqrt(L) - (2 sqrt(L)+sqrt(K)) delta_lk = {den_mu:g} is not positive"
         )
     den_lam = (1.0 - delta_k) ** 3 - (1.0 + delta_k) * delta_2k**2
-    if den_lam <= 0:
+    if not den_lam > 0:
         raise DomainError(
             f"lambda denominator (1-delta_k)^3 - (1+delta_k) delta_2k^2 = {den_lam:g} is not positive"
         )
@@ -177,12 +175,9 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
     function, accumulated in log space.
     """
     n_r = require_count("n_r", n_r)
-    if not 0 <= d < math.inf:
-        raise DomainError(f"d must be finite and >= 0, got {d}")
-    if not noise_var > 0:
-        raise DomainError(f"noise_var must be positive, got {noise_var}")
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    d = require_real("d", d, "[0, inf)")
+    noise_var = require_real("noise_var", noise_var, "(0, inf]")
+    tau = require_real("tau", tau, "(0, inf]")
     x = d * d / (noise_var * tau * tau)
     if x == 0.0:
         return 0.0
@@ -208,26 +203,21 @@ def _f_functional(x: float, z: float) -> float:
 
 def asymptotic_sinr(snr: float, beta: float) -> float:
     """Deterministic per-stream LMMSE output SINR in the large-system limit."""
-    if not 0 <= snr < math.inf:
-        raise DomainError(f"snr must be finite and >= 0, got {snr}")
-    if not 0 < beta < math.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    snr = require_real("snr", snr, "[0, inf)")
+    beta = require_real("beta", beta, "(0, inf)")
     return snr - _f_functional(snr, beta) / 4.0
 
 
 def pe_bpsk(sinr: float) -> float:
     """Per-stream BPSK error probability Q(sqrt(2 sinr)) at a given output SINR."""
-    if not sinr >= 0:
-        raise DomainError(f"sinr must be >= 0, got {sinr}")
+    sinr = require_real("sinr", sinr, "[0, inf]")
     return 0.5 * math.erfc(math.sqrt(sinr))
 
 
 def mse_conv_asymptotic(snr: float, beta: float) -> float:
     """Large-system normalized MSE of the conventional LMMSE detector."""
-    if not 0 < snr < math.inf:
-        raise DomainError(f"snr must be finite and positive, got {snr}")
-    if not 0 < beta < math.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    snr = require_real("snr", snr, "(0, inf)")
+    beta = require_real("beta", beta, "(0, inf)")
     return 1.0 - _f_functional(snr, beta) / (4.0 * beta * snr)
 
 
@@ -237,10 +227,9 @@ def mse_psed_bound(snr: float, beta: float, p_e: float, simplified: bool = False
     The full form is (1/snr) p_e / (1 - p_e beta); `simplified` selects
     the high-SNR reduction p_e / snr.
     """
-    if not snr > 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    if not 0.0 <= p_e < 1.0:
-        raise DomainError(f"p_e must be in [0, 1), got {p_e}")
+    snr = require_real("snr", snr, "(0, inf]")
+    beta = require_real("beta", beta, "[0, inf)")
+    p_e = require_real("p_e", p_e, "[0, 1)")
     if not p_e * beta < 1.0:
         raise DomainError(f"p_e * beta = {p_e * beta:g} must be < 1")
     if simplified:
@@ -253,12 +242,8 @@ def mse_psed_closed_form(snr: float, beta: float) -> float:
 
     Decays exponentially with SNR; defined for beta <= 1 only.
     """
-    if not snr > 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    if beta > 1:
-        raise DomainError(f"no closed form for beta > 1, got beta={beta}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    snr = require_real("snr", snr, "(0, inf]")
+    beta = require_real("beta", beta, "(0, 1]")
     if beta == 1.0:
         return snr ** (-5.0 / 4.0) * math.exp(-math.sqrt(snr)) / (2.0 * math.sqrt(math.pi))
     return snr ** (-3.0 / 2.0) * math.exp(-(1.0 - beta) * snr) / (2.0 * math.sqrt(math.pi * (1.0 - beta)))
@@ -266,8 +251,7 @@ def mse_psed_closed_form(snr: float, beta: float) -> float:
 
 def trace_inverse_limit(beta_prime: float) -> float:
     """Large-system limit of the normalized trace of an inverse Wishart submatrix."""
-    if not 0.0 <= beta_prime < 1.0:
-        raise DomainError(f"beta_prime must be in [0, 1), got {beta_prime}")
+    beta_prime = require_real("beta_prime", beta_prime, "[0, 1)")
     return 1.0 / (1.0 - beta_prime)
 
 
@@ -362,10 +346,8 @@ def error_count_concentration(n_t: int, p_e: float, epsilon: float) -> float:
     approximation to Pr(|errors/n_t - p_e| > epsilon) for Binomial error
     counts; the bound shrinks as n_t grows.
     """
-    if not 0.0 < p_e < 1.0:
-        raise DomainError(f"p_e must be in (0, 1), got {p_e}")
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    p_e = require_real("p_e", p_e, "(0, 1)")
+    epsilon = require_real("epsilon", epsilon, "(0, inf]")
     n_t = require_count("n_t", n_t)
     sigma = math.sqrt(p_e * (1.0 - p_e) / n_t)
     return math.erfc(epsilon / (sigma * math.sqrt(2.0)))

@@ -17,13 +17,13 @@ import sys
 import numpy as np
 
 from . import analysis, harness, model
-from .errors import ConfigurationError, PsedError, SingularMatrixError
+from .errors import ConfigurationError, PsedError
 from .harness import SweepConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-NUMERICAL_FAILURES = (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError)
+NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError)  # ArithmeticError covers SingularMatrixError
 
 # Sweep presets at desk scale; square256 is long-running and opt-in.
 PRESETS = {
@@ -121,12 +121,10 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key}", dest=key, help=help_text)
 
 
-def _write_flagged_log(config_output: str | None, flagged, error: str | None = None) -> str:
-    path = (config_output or "sweep") + ".flagged.log"
+def _write_flagged_log(path: str, flagged, error: str | None = None) -> None:
     lines = [f"numerical failure: {error}"] if error else []
     lines += [f"{detector},{snr_db:g},{trial}" for detector, snr_db, trial in flagged]
     harness.write_text(path, "".join(line + "\n" for line in lines))
-    return path
 
 
 def _emit_table(lines: list[str], output: str | None) -> None:
@@ -154,15 +152,16 @@ def _cmd_sweep(args: argparse.Namespace, mse_curves: bool) -> int:
     config = build_sweep_config(args)
     output = config.output or ("sweep-mse.csv" if mse_curves else "sweep-ser.csv")
     _require_writable(output)  # before the first trial, so a long sweep cannot lose its results
+    log_path = output + ".flagged.log"
     try:
         result = harness.run_mse_curves(config) if mse_curves else harness.run_sweep(config)
     except NUMERICAL_FAILURES as exc:
-        log_path = _write_flagged_log(config.output, (), error=str(exc))
+        _write_flagged_log(log_path, (), error=str(exc))
         print(f"numerical failure: {exc} (log: {log_path})", file=sys.stderr)
         return EXIT_NUMERICAL
     harness.emit_csv(result, output)
     if result.flagged_trials:
-        log_path = _write_flagged_log(config.output, result.flagged_trials)
+        _write_flagged_log(log_path, result.flagged_trials)
         print(f"{len(result.flagged_trials)} flagged trials logged to {log_path}", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {output}")
     return EXIT_OK
@@ -211,7 +210,7 @@ def _cmd_rip(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"{args.matrix} does not hold one numeric array")
     else:
         H = model.generate_channel(args.n_r, args.n_t, model.rng_stream(args.seed, "channel"))
-    estimate = analysis.rip_constant(H, args.K, method=args.method)
+    estimate = analysis.rip_constant(H, args.K, method=args.method, rng=model.rng_stream(args.seed, "rip"))
     line = (
         f"K={estimate.K} delta={estimate.delta:.10g} "
         f"subsets_checked={estimate.subsets_checked} exhaustive={estimate.exhaustive}"

@@ -1,5 +1,7 @@
-"""Exception types and input checks: `require_system` for H, y, s, P and noise_var, `require_count` for counts."""
+"""Exception types and input checks: `require_system` for H, y, s, P and noise_var, `require_count` for counts
+and `require_real` for reals."""
 
+import functools
 import math
 
 import numpy as np
@@ -50,26 +52,33 @@ def require_count(name: str, value, low: int = 1, high: int | None = None) -> in
     return int(value)
 
 
-def _require_real(name: str, value) -> np.ndarray:
-    array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
-        raise DomainError(f"{name} must be real, got {value!r}")
-    return array
+@functools.cache  # keyed by the interval literals written at the call sites
+def _interval(text: str) -> tuple[float, float, bool, bool]:
+    low, high = (float(bound) for bound in text[1:-1].split(","))
+    return low, high, text[0] == "[", text[-1] == "]"
 
 
-def _require_scalar(name: str, value) -> float:
-    if not isinstance(value, (int, float)) and _require_real(name, value).ndim != 0:
-        raise DimensionError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
+def require_real(name: str, value, interval: str, error: type[PsedError] = DomainError) -> float:
+    """Return `value` as a float if it is a real scalar (not a bool) in `interval`, such as "(0, inf]".
 
-
-def require_positive(name: str, value) -> float:
-    """Return `value` if it is a finite real scalar > 0; raise as `require_system` does for P otherwise."""
-    if _require_scalar(name, value) <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
+    A complex, text or bool value raises DomainError and an array of one or
+    more dimensions DimensionError. NaN, and an infinity outside the
+    interval, raise DomainError; a finite value outside it raises `error`.
+    Every message starts with `name`.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)  # numpy holds no Python int past 2**64
+    elif not isinstance(value, float):
+        array = np.asarray(value)
+        if array.dtype.kind not in "iuf":
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        if array.ndim:
+            raise DimensionError(f"{name} must be a scalar, got shape {array.shape}")
+        value = float(array)
+    low, high, closed_low, closed_high = _interval(interval)
+    if low < value < high or (closed_low and value == low) or (closed_high and value == high):
+        return float(value)
+    raise (error if math.isfinite(value) else DomainError)(f"{name} must be in {interval}, got {value}")
 
 
 def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bool = False) -> tuple:
@@ -77,9 +86,10 @@ def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bo
 
     H is 2-D, y one observation (n_r,) of it and s one symbol vector (n_t,);
     with `stacked`, y may be a stack (B, n_r) and noise_var a 1-D array of B
-    variances. A shape raises DimensionError, a NaN, an infinity or a
-    complex or non-numeric P or noise_var DomainError naming the argument,
-    and P <= 0 or noise_var < 0 ConfigurationError.
+    variances. A shape raises DimensionError, and a NaN or an infinity
+    DomainError naming the argument. A scalar P and noise_var go through
+    `require_real`: P in (0, inf) and noise_var in [0, inf), so P <= 0 or
+    noise_var < 0 raises ConfigurationError.
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2:
@@ -97,14 +107,18 @@ def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bo
         if a is not None and not np.isfinite(a).all():
             raise DomainError(f"{name} must be finite")
     if power is not None:
-        require_positive("power", power)
+        require_real("power", power, "(0, inf)", ConfigurationError)
     if noise_var is None:
         return H, y, s
-    if stacked:
-        noise_var = _require_real("noise_var", noise_var).astype(np.float64, copy=False)
-        if noise_var.ndim > 1:
-            raise DimensionError(f"noise_var must be a scalar or 1-D, got shape {noise_var.shape}")
-        require_finite(noise_var=noise_var)
-    if (noise_var < 0).any() if stacked else _require_scalar("noise_var", noise_var) < 0:
+    if not (stacked and np.ndim(noise_var)):
+        require_real("noise_var", noise_var, "[0, inf)", ConfigurationError)
+        return H, y, s
+    noise_var = np.asarray(noise_var)
+    if noise_var.dtype.kind not in "iuf":
+        raise DomainError(f"noise_var must be a real number, got {noise_var!r}")
+    if noise_var.ndim > 1:
+        raise DimensionError(f"noise_var must be a scalar or 1-D, got shape {noise_var.shape}")
+    require_finite(noise_var=noise_var)
+    if (noise_var < 0).any():
         raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
     return H, y, s

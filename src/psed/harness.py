@@ -20,7 +20,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import analysis, baselines, linear_detectors, model, pipeline
-from .errors import ConfigurationError, PsedError, require_count
+from .errors import ConfigurationError, PsedError, require_count, require_real
 from .linear_detectors import LMMSE, MF
 from .model import db_to_linear, make_constellation, rng_stream
 from .pipeline import PSED_NAMES, PsedConfig
@@ -57,6 +57,8 @@ class SweepConfig:
         require_count("master_seed", self.master_seed, low=0)
         if not self.snr_db_grid:
             raise ConfigurationError("snr_db_grid must be non-empty")
+        for snr_db in self.snr_db_grid:  # +inf is a noiseless cell
+            require_real("snr_db_grid", snr_db, "(-inf, inf]", ConfigurationError)
         if not self.detectors:
             raise ConfigurationError("detector list must be non-empty")
         for det in self.detectors:
@@ -203,20 +205,16 @@ def run_mse_curves(config: SweepConfig) -> SweepResult:
         raise ConfigurationError(
             f"MSE curve sweeps are defined for BPSK, got {config.constellation}"
         )
-    base = run_sweep(config)
     beta = config.n_t / config.n_r
-    rows = []
-    for row in base.rows:
-        snr = db_to_linear(row.snr_db)
-        rows.append(
-            dataclasses.replace(
-                row,
-                mse_conv_asymptotic=analysis.mse_conv_asymptotic(snr, beta),
-                mse_psed_closed_form=(
-                    analysis.mse_psed_closed_form(snr, beta) if beta <= 1.0 else None
-                ),
-            )
+    closed_forms = {}  # evaluated before the first trial, so a refused SNR point costs no sweep
+    for snr_db in config.snr_db_grid:
+        snr = db_to_linear(snr_db)
+        closed_forms[float(snr_db)] = dict(
+            mse_conv_asymptotic=analysis.mse_conv_asymptotic(snr, beta),
+            mse_psed_closed_form=analysis.mse_psed_closed_form(snr, beta) if beta <= 1.0 else None,
         )
+    base = run_sweep(config)
+    rows = [dataclasses.replace(row, **closed_forms[row.snr_db]) for row in base.rows]
     return SweepResult(rows=tuple(rows), flagged_trials=base.flagged_trials)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, require_count, require_system
+from .errors import ConfigurationError, require_count, require_real, require_system
 
 BPSK = "BPSK"
 QPSK = "QPSK"
@@ -145,4 +145,4 @@ def transmit(
 
 
 def db_to_linear(snr_db: float) -> float:
-    return float(10.0 ** (snr_db / 10.0))
+    return 10.0 ** (require_real("snr_db", snr_db, "[-inf, inf]") / 10.0)

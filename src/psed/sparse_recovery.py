@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_system
-from .errors import require_count, require_positive
+from .errors import require_count, require_real
 
 LS = "LS"
 LMMSE = "LMMSE"
@@ -128,7 +128,7 @@ def lmmse_on_support(
 
     Returns (1/sqrt(P)) (H_S^H H_S + (noise_var / (P error_var)) I)^-1 H_S^H y'.
     """
-    require_positive("error_var", error_var)
+    require_real("error_var", error_var, "(0, inf)", ConfigurationError)
     H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
     idx = _columns(support, H.shape[1])
     e_hat = np.zeros(H.shape[1], dtype=np.complex128)
@@ -145,8 +145,8 @@ def _check_search(estimator: str, tol: float | None) -> None:
     """Raise ConfigurationError on an estimator or tolerance `mmp` cannot run with."""
     if estimator not in (LS, LMMSE):
         raise ConfigurationError(f"unknown estimator {estimator!r}; expected LS or LMMSE")
-    if tol is not None and not tol >= 0:
-        raise ConfigurationError(f"tol must be >= 0, got {tol}")
+    if tol is not None:
+        require_real("tol", tol, "[0, inf]", ConfigurationError)
 
 
 def _residuals(H: np.ndarray, y_prime: np.ndarray, power: float, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -221,7 +221,7 @@ def mmp(
     if estimator == LMMSE:
         if error_var is None or noise_var is None:
             raise ConfigurationError("estimator='LMMSE' requires error_var and noise_var")
-        rho = noise_var / require_positive("error_var", error_var)
+        rho = noise_var / require_real("error_var", error_var, "(0, inf)", ConfigurationError)
 
     n_t = H.shape[1]
     gram = power * (H.conj().T @ H if gram is None else gram)

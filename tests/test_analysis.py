@@ -174,6 +174,11 @@ class TestRecoveryConditions:
         with pytest.raises(DomainError, match="lambda"):
             mmp_support_threshold(0.05, 0.9, 0.9, K=2, L=2)
 
+    def test_undefined_lambda_denominator_refused(self):
+        # (1 - inf)^3 - (1 + inf) * 0 is NaN, which no `<= 0` test catches
+        with pytest.raises(DomainError, match="lambda"):
+            mmp_support_threshold(0.05, math.inf, 0.0, K=2, L=2)
+
 
 class TestSupportRecoveryProb:
     def test_huge_margin_gives_certainty(self):
@@ -299,6 +304,11 @@ class TestMsePsedBound:
             mse_psed_bound(10.0, 2.0, 0.5)  # p_e * beta >= 1
         with pytest.raises(DomainError):
             mse_psed_bound(10.0, 1.0, 1.0)
+
+    def test_negative_load_refused(self):
+        # p_e * beta < 1 holds for any beta < 0, so only the load's own interval refuses it
+        with pytest.raises(DomainError, match="^beta "):
+            mse_psed_bound(10.0, -1.0, 0.01)
 
 
 class TestMsePsedClosedForm:

@@ -199,6 +199,31 @@ class TestSweepCommands:
         assert log.exists()
         assert "synthetic failure" in log.read_text()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep-ser"], ["sweep-mse", "--constellation", "BPSK"]],
+        ids=["sweep-ser", "sweep-mse"],
+    )
+    def test_flagged_log_follows_default_output(self, tmp_path, monkeypatch, argv):
+        def boom(config):
+            raise SingularMatrixError("synthetic failure")
+
+        monkeypatch.setattr(harness_module, "run_sweep", boom)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--n_r", "8", "--n_t", "8", "--trials", "1"]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}.csv.flagged.log"]
+
+    def test_sweep_mse_refuses_closed_form_point_before_trials(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the closed forms were checked")
+
+        monkeypatch.setattr(harness_module, "_run_trial", no_trial)
+        out = tmp_path / "mse.csv"
+        argv = ["sweep-mse", "--n_r", "8", "--n_t", "8", "--constellation", "BPSK", "--snr_db_grid", "10,inf"]
+        assert main([*argv, "--trials", "1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: snr ")
+        assert not out.exists()
+
 
 class TestComplexityCommand:
     def test_prints_reference_totals(self, capsys):
@@ -236,6 +261,12 @@ class TestAnalyzeCommand:
         snr = 10 ** (10.0 / 10.0)
         assert abs(float(first[2]) - psed.asymptotic_sinr(snr, 1.0)) < 1e-9
         assert abs(float(first[4]) - psed.mse_conv_asymptotic(snr, 1.0)) < 1e-9
+
+    def test_overflow_is_numerical_failure(self, capsys):
+        # snr = 1e-300: the closed-form floor snr^(-5/4) overflows
+        assert main(["analyze", "--snr_db_grid=-3000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 class TestRipCommand:
@@ -279,6 +310,12 @@ class TestRipCommand:
         assert main(["rip", "--n_r", "16", "--n_t", "20", "--seed", "0", "--K", "2",
                      "--method", "sampled"]) == 0
         assert "exhaustive=False" in capsys.readouterr().out
+
+    def test_sampled_mode_follows_seed(self, capsys):
+        argv = ["rip", "--n_r", "32", "--n_t", "48", "--seed", "0", "--K", "6", "--method", "sampled"]
+        assert main(argv) == 0 and main(argv) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
 
 
 @pytest.mark.parametrize(

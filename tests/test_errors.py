@@ -1,4 +1,4 @@
-"""The input gates: every entry point rejects a bad part of y = sqrt(P) H s + v, count or index alike."""
+"""The input gates: every entry point rejects a bad part of y = sqrt(P) H s + v, count, index or real alike."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from psed import (
     SweepConfig,
     asymptotic_sinr,
     complexity_count,
+    db_to_linear,
     detect,
     draw_symbols,
     error_count_concentration,
@@ -35,6 +36,7 @@ from psed import (
     rng_stream,
     sparse_transform,
     support_recovery_prob,
+    trace_inverse_limit,
     transmit,
     weight_matrix,
 )
@@ -113,12 +115,14 @@ BAD_INPUTS = [
     ("power", "complex", lambda p: 1.0 + 1.0j, DomainError),
     ("power", "numpy-complex", lambda p: np.complex128(1.0), DomainError),
     ("power", "text", lambda p: "1.0", DomainError),
+    ("power", "bool", lambda p: True, DomainError),
     ("noise_var", "-0.1", lambda nv: -0.1, ConfigurationError),
     ("noise_var", "nan", lambda nv: np.nan, DomainError),
     ("noise_var", "2-D", lambda nv: np.full((2, 2), nv), DimensionError),
     ("noise_var", "complex", lambda nv: nv + 1.0j, DomainError),
     ("noise_var", "complex-1-D", lambda nv: np.array([nv + 1.0j]), DomainError),
     ("noise_var", "text", lambda nv: "0.1", DomainError),
+    ("noise_var", "bool", lambda nv: True, DomainError),
 ]
 
 
@@ -219,6 +223,7 @@ CLOSED_FORMS = [
     (error_count_concentration, dict(n_t=64, p_e=0.1, epsilon=0.05)),
     (mmp_exact_condition, dict(delta_lk=0.1, K=2, L=2)),
     (mmp_support_threshold, dict(delta_lk=0.05, delta_k=0.05, delta_2k=0.1, K=2, L=2)),
+    (trace_inverse_limit, dict(beta_prime=0.5)),
 ]
 
 
@@ -257,3 +262,64 @@ def test_closed_form_limit_or_refusal_at_infinity(fn, kwargs, arg):
     else:
         with pytest.raises(DomainError):
             fn(**inf_kwargs)
+
+
+# A value of the wrong type for a real argument: (label, bad value from the valid one, error it must raise).
+BAD_TYPES = [
+    ("complex", lambda v: v + 1j, DomainError),
+    ("text", str, DomainError),
+    ("bool", lambda v: True, DomainError),
+    ("1-element", lambda v: np.array([v]), DimensionError),
+    ("2-element", lambda v: np.array([v, v]), DimensionError),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, arg", FLOAT_ARGS)
+@pytest.mark.parametrize("bad, error", [pytest.param(bad, error, id=label) for label, bad, error in BAD_TYPES])
+def test_closed_form_refuses_wrong_type(fn, kwargs, arg, bad, error):
+    with pytest.raises(error, match=f"^{arg} "):
+        fn(**dict(kwargs, **{arg: bad(kwargs[arg])}))
+
+
+# Every real setting: (entry point, parameter, call with the parameter set to a
+# value, values it must accept, finite values it must refuse with
+# ConfigurationError). NaN, an infinity it does not accept and every value of
+# BAD_TYPES must raise as they do for the closed forms.
+REAL_SETTINGS = [
+    ("PsedConfig", "tol", lambda v: PsedConfig(tol=v), (0.0, np.inf, 10**20), (-1.0,)),
+    ("mmp", "tol", lambda v: mmp(H0, Y0, 1.0, K=2, L=2, tol=v), (0.0, np.inf), (-1.0,)),
+    (
+        "mmp",
+        "error_var",
+        lambda v: mmp(H0, Y0, 1.0, K=2, L=2, estimator="LMMSE", error_var=v, noise_var=0.1),
+        (1.0,),
+        (0.0, -1.0),
+    ),
+    ("lmmse_on_support", "error_var", lambda v: lmmse_on_support(H0, Y0, 1.0, (1, 4), v, 0.1), (1.0,), (0.0,)),
+    ("SweepConfig", "snr_db_grid", lambda v: SweepConfig(snr_db_grid=(10.0, v)), (-30.0, 10, np.inf, 10**20), ()),
+    ("db_to_linear", "snr_db", db_to_linear, (-30.0, 10, -np.inf, np.inf), ()),
+]
+
+
+def bad_real_settings():
+    for entry, name, call, accepted, refused in REAL_SETTINGS:
+        bad = [(label, bad(accepted[0]), error) for label, bad, error in BAD_TYPES]
+        bad += [("nan", np.nan, DomainError)]
+        bad += [(f"{inf}", inf, DomainError) for inf in (-np.inf, np.inf) if inf not in accepted]
+        bad += [(f"{value}", value, ConfigurationError) for value in refused]
+        for label, value, error in bad:
+            yield pytest.param(call, name, value, error, id=f"{entry}-{name}-{label}")
+
+
+@pytest.mark.parametrize(
+    "call, accepted", [pytest.param(c, acc, id=f"{e}-{n}") for e, n, c, acc, _ in REAL_SETTINGS]
+)
+def test_valid_real_setting_accepted(call, accepted):
+    for value in accepted:
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, value, error", bad_real_settings())
+def test_bad_real_setting_raises_named_error(call, name, value, error):
+    with pytest.raises(error, match=f"^{name} "):
+        call(value)
