@@ -32,6 +32,7 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     DomainError,
+    FloatOverflowError,
     PsedError,
     SingularMatrixError,
 )

@@ -1,8 +1,10 @@
 """Closed-form and brute-force analysis tools.
 
-Covers restricted-isometry constants, multipath-pursuit recovery
-guarantees, the chi-square support-recovery probability, large-system
-LMMSE asymptotics (SINR, conventional and post-recovery MSE), complex
+Covers restricted-isometry constants (exact: every support is bounded
+cheaply and only those that could set the constant are eigen-solved),
+multipath-pursuit recovery guarantees, the chi-square support-recovery
+probability, large-system LMMSE asymptotics (SINR, conventional and
+post-recovery MSE, in forms that stay finite at any magnitude), complex
 multiplication counts for the detector variants, and the empirical
 appendix properties (stream decorrelation, error-count concentration).
 """
@@ -11,17 +13,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DomainError, require_count, require_real, require_system
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    DomainError,
+    FloatOverflowError,
+    require_count,
+    require_real,
+    require_system,
+)
 from .linear_detectors import DETECTOR_KINDS, LMMSE
 from .pipeline import PSED_NAMES
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
 SAMPLED_SUPPORT_COUNT = 10**4
-RIP_BATCH = 4096  # supports scored per batched eigen-solve
+# Supports generated and bounded at a time, so working memory is O(RIP_BATCH K^2)
+# whatever the number of supports; of each block only those whose bound can
+# beat the running delta are eigen-solved.
+RIP_BATCH = 4096
 
 # Each linear detector, then its PSED refinement: the rows of the paper's complexity table.
 COMPLEXITY_DETECTORS = tuple(name for base in DETECTOR_KINDS for name in (base, PSED_NAMES[base]))
@@ -45,11 +58,26 @@ class RipEstimate:
     exhaustive: bool = True
 
 
-def _subset_distortion(gram: np.ndarray, subsets: list[tuple[int, ...]]) -> float:
-    """Largest energy distortion over the subsets, from the K x K principal submatrices of H^H H."""
-    idx = np.array(subsets, dtype=np.intp)
-    eig = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-    return float(max(eig[:, -1].max() - 1.0, 1.0 - eig[:, 0].min()))
+def support_block(n_t: int, K: int, start: int, stop: int) -> np.ndarray:
+    """The size-K supports of ranks start..stop-1, one per row, each in increasing index order.
+
+    Unranks in the combinatorial number system: the support c_1 < ... < c_K
+    has rank C(c_1, 1) + ... + C(c_K, K), so the ranks 0..C(n_t, K)-1 give
+    every support once, in colexicographic order. Going down from i = K,
+    c_i is the largest c with C(c, i) at most what is left of the rank.
+    """
+    total = math.comb(n_t, K)
+    binom = np.ones(n_t, dtype=np.int64)  # C(c, 0) for c = 0..n_t-1
+    tables = []
+    for _ in range(K):  # C(c, i) = C(0, i-1) + ... + C(c-1, i-1), capped at total (no rank reaches it)
+        binom = np.minimum(np.concatenate(([0], np.cumsum(binom[:-1]))), total)
+        tables.append(binom)
+    rank = np.arange(start, stop, dtype=np.int64)
+    columns = np.empty((K, rank.size), dtype=np.intp)  # index i of every support, contiguous
+    for i in range(K - 1, -1, -1):
+        columns[i] = np.searchsorted(tables[i], rank, side="right") - 1
+        rank -= tables[i][columns[i]]
+    return columns.T
 
 
 def rip_constant(
@@ -64,12 +92,55 @@ def rip_constant(
     Exhaustive mode checks every size-K support (refused above a 10^6
     subset budget); sampled mode draws uniform supports and reports a
     lower bound flagged non-exhaustive.
+
+    delta is the largest energy distortion max(lambda_max - 1, 1 - lambda_min)
+    over the K x K principal submatrices M of G = H^H H. Every support is
+    bounded first: by the Laguerre-Samuelson inequality the eigenvalues of M
+    lie within mu +- sqrt((K-1)/K) s, where mu = tr M / K and s = ||M - mu I||_F,
+    so its distortion is at most |mu - 1| + sqrt((K-1)/K) s. Only the
+    supports whose bound exceeds the running delta minus a margin are
+    eigen-solved. The margin is far above the rounding of the bound and
+    the backward error of the eigen-solve, so delta is the exhaustive
+    maximum to the last bit.
     """
     H, _, _ = require_system(H)
     n_t = H.shape[1]
     K = require_count("K", K, 1, n_t)
     sample_size = require_count("sample_size", sample_size)
-    gram = H.conj().T @ H
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes a bound inf, which never prunes
+        gram = H.conj().T @ H
+        if not np.isfinite(gram).all():
+            raise DomainError("H is too large: its Gram matrix H^H H overflows")
+        twice_square = 2.0 * np.abs(gram.ravel()) ** 2  # 2 |G_ij|^2, read at i < j only
+    diagonal = gram.diagonal().real
+    margin = 1e-9 * (1.0 + K * diagonal.max())
+    spread = math.sqrt((K - 1) / K)
+
+    def distortion(supports: np.ndarray, delta: float) -> float:
+        """Largest of delta and the energy distortions of the supports (one per row)."""
+        columns = supports.T  # columns[i] holds index i of every support
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = diagonal[columns]
+            mu = d.sum(axis=0) / K
+            s2 = ((d - mu) ** 2).sum(axis=0)
+            for i, j in combinations(range(K), 2):
+                s2 += twice_square[columns[i] * n_t + columns[j]]
+            bound = np.abs(mu - 1.0) + spread * np.sqrt(s2)
+        bound[np.isnan(bound)] = np.inf  # a NaN bound never prunes
+        order = np.argsort(-bound)  # decreasing bound, so a chunk with nothing left to solve ends the block
+        start, size = 0, 16  # eigen-solve 16 supports, then 32, 64, ...
+        while start < order.size:
+            chunk = order[start : start + size]
+            chunk = chunk[bound[chunk] > delta - margin]
+            if not chunk.size:
+                break
+            S = supports[chunk]
+            eig = np.linalg.eigvalsh(gram[S[:, :, None], S[:, None, :]])
+            delta = max(delta, float(max(eig[:, -1].max() - 1.0, 1.0 - eig[:, 0].min())))
+            start, size = start + size, 2 * size
+        return delta
+
+    delta = 0.0
     if method == "exhaustive":
         total = math.comb(n_t, K)
         if total > EXHAUSTIVE_SUBSET_BUDGET:
@@ -77,17 +148,18 @@ def rip_constant(
                 f"C({n_t}, {K}) = {total} exceeds the exhaustive budget "
                 f"{EXHAUSTIVE_SUBSET_BUDGET}; use method='sampled' for a lower bound"
             )
-        subsets = combinations(range(n_t), K)
+        for start in range(0, total, RIP_BATCH):
+            delta = distortion(support_block(n_t, K, start, min(start + RIP_BATCH, total)), delta)
+        checked = total
     elif method == "sampled":
         gen = np.random.default_rng(rng)
-        subsets = (tuple(gen.choice(n_t, size=K, replace=False)) for _ in range(sample_size))
+        for start in range(0, sample_size, RIP_BATCH):
+            count = min(RIP_BATCH, sample_size - start)
+            delta = distortion(np.array([gen.choice(n_t, size=K, replace=False) for _ in range(count)]), delta)
+        checked = sample_size
     else:
         raise ConfigurationError(f"unknown rip method {method!r}; expected 'exhaustive' or 'sampled'")
-    delta, checked = 0.0, 0
-    while chunk := list(islice(subsets, RIP_BATCH)):
-        delta = max(delta, _subset_distortion(gram, chunk))
-        checked += len(chunk)
-    return RipEstimate(K=K, delta=max(delta, 0.0), subsets_checked=checked, exhaustive=method == "exhaustive")
+    return RipEstimate(K=K, delta=delta, subsets_checked=checked, exhaustive=method == "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +216,10 @@ def mmp_support_threshold(
         raise DomainError(
             f"mu denominator sqrt(L) - (2 sqrt(L)+sqrt(K)) delta_lk = {den_mu:g} is not positive"
         )
-    den_lam = (1.0 - delta_k) ** 3 - (1.0 + delta_k) * delta_2k**2
+    try:
+        den_lam = (1.0 - delta_k) ** 3 - (1.0 + delta_k) * delta_2k**2
+    except OverflowError:  # only a delta_k or delta_2k far above 1 overflows, and either makes it negative
+        den_lam = -math.inf
     if not den_lam > 0:
         raise DomainError(
             f"lambda denominator (1-delta_k)^3 - (1+delta_k) delta_2k^2 = {den_lam:g} is not positive"
@@ -178,10 +253,15 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
     d = require_real("d", d, "[0, inf)")
     noise_var = require_real("noise_var", noise_var, "(0, inf]")
     tau = require_real("tau", tau, "(0, inf]")
-    x = d * d / (noise_var * tau * tau)
+    if d == 0.0:
+        return 0.0
+    log_x = 2.0 * (math.log(d) - math.log(tau)) - math.log(noise_var)  # d^2 and noise_var tau^2 may overflow
+    try:
+        x = math.exp(log_x)
+    except OverflowError:  # then every term below is 0 and the probability is 1
+        x = math.inf
     if x == 0.0:
         return 0.0
-    log_x = math.log(x)
     log_terms = [-x + k * log_x - math.lgamma(k + 1) for k in range(n_r)]
     peak = max(log_terms)
     if peak == -math.inf:
@@ -194,18 +274,27 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
 # Large-system LMMSE asymptotics
 
 
-def _f_functional(x: float, z: float) -> float:
-    """The fluctuation functional in the LMMSE large-system limit."""
-    a = math.sqrt(x * (1.0 + math.sqrt(z)) ** 2 + 1.0)
-    b = math.sqrt(x * (1.0 - math.sqrt(z)) ** 2 + 1.0)
-    return (a - b) ** 2
+def _lmmse_sinr(snr: float, beta: float) -> float:
+    """snr - F(snr, beta) / 4, where F(x, z) = (sqrt(x (1 + sqrt z)^2 + 1) - sqrt(x (1 - sqrt z)^2 + 1))^2.
+
+    The difference is rationalised: with a and b the two square roots,
+    ab = sqrt(p^2 + 4x) for p = 1 + (z - 1) x, so snr - F/4 = (sqrt(p^2 + 4x) - p) / 2,
+    the positive root of eta^2 + p eta = x. Dividing through by x (q = p / x)
+    keeps every term finite, and the root is taken in whichever of its two
+    forms adds terms of one sign, so no digits cancel at any magnitude.
+    """
+    if snr == 0.0:
+        return 0.0
+    q = 1.0 / snr + (beta - 1.0)
+    r = math.hypot(q, 2.0 / math.sqrt(snr))
+    return 1.0 / (0.5 * q + 0.5 * r) if q >= 0.0 else snr * (0.5 * r - 0.5 * q)
 
 
 def asymptotic_sinr(snr: float, beta: float) -> float:
     """Deterministic per-stream LMMSE output SINR in the large-system limit."""
     snr = require_real("snr", snr, "[0, inf)")
     beta = require_real("beta", beta, "(0, inf)")
-    return snr - _f_functional(snr, beta) / 4.0
+    return _lmmse_sinr(snr, beta)
 
 
 def pe_bpsk(sinr: float) -> float:
@@ -215,10 +304,14 @@ def pe_bpsk(sinr: float) -> float:
 
 
 def mse_conv_asymptotic(snr: float, beta: float) -> float:
-    """Large-system normalized MSE of the conventional LMMSE detector."""
+    """Large-system normalized MSE of the conventional LMMSE detector.
+
+    1 - F(snr, beta) / (4 beta snr), which equals 1 / (1 + SINR) for the
+    asymptotic SINR above.
+    """
     snr = require_real("snr", snr, "(0, inf)")
     beta = require_real("beta", beta, "(0, inf)")
-    return 1.0 - _f_functional(snr, beta) / (4.0 * beta * snr)
+    return 1.0 / (1.0 + _lmmse_sinr(snr, beta))
 
 
 def mse_psed_bound(snr: float, beta: float, p_e: float, simplified: bool = False) -> float:
@@ -240,13 +333,22 @@ def mse_psed_bound(snr: float, beta: float, p_e: float, simplified: bool = False
 def mse_psed_closed_form(snr: float, beta: float) -> float:
     """Closed-form high-SNR post-recovery MSE floor for BPSK.
 
-    Decays exponentially with SNR; defined for beta <= 1 only.
+    Decays exponentially with SNR; defined for beta <= 1 only. Where the
+    floor exceeds the float range (snr below about 1e-204, or 1e-246 at
+    beta = 1) it raises FloatOverflowError.
     """
     snr = require_real("snr", snr, "(0, inf]")
     beta = require_real("beta", beta, "(0, 1]")
-    if beta == 1.0:
-        return snr ** (-5.0 / 4.0) * math.exp(-math.sqrt(snr)) / (2.0 * math.sqrt(math.pi))
-    return snr ** (-3.0 / 2.0) * math.exp(-(1.0 - beta) * snr) / (2.0 * math.sqrt(math.pi * (1.0 - beta)))
+    try:
+        if beta == 1.0:
+            value = snr ** (-5.0 / 4.0) * math.exp(-math.sqrt(snr)) / (2.0 * math.sqrt(math.pi))
+        else:
+            value = snr ** (-3.0 / 2.0) * math.exp(-(1.0 - beta) * snr) / (2.0 * math.sqrt(math.pi * (1.0 - beta)))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise FloatOverflowError(f"snr = {snr:g} is too small: the floor exceeds the float range")
+    return value
 
 
 def trace_inverse_limit(beta_prime: float) -> float:

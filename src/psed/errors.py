@@ -31,6 +31,10 @@ class SingularMatrixError(PsedError, ArithmeticError):
     """A linear solve hit a (numerically) rank-deficient matrix."""
 
 
+class FloatOverflowError(PsedError, OverflowError):
+    """A result beyond the float range, from arguments inside the computation's domain."""
+
+
 # A matrix whose condition number exceeds this is treated as singular.
 _COND_LIMIT = 1e12
 

@@ -31,7 +31,7 @@ from psed import (
     support_recovery_prob,
     trace_inverse_limit,
 )
-from psed.analysis import RIP_BATCH, inversion_multiplications
+from psed.analysis import RIP_BATCH, inversion_multiplications, support_block
 from tests.conftest import orthonormal_columns, seeded_channel
 
 # frozen oracle values (high-precision evaluation of the defining formulas)
@@ -43,7 +43,72 @@ MSE_PSED_CF_4_B05 = 0.006748870814148506
 PE_BPSK_4P5 = 0.0013498980316300946
 
 
+def brute_force_delta(H, supports) -> float:
+    """Largest energy distortion over the supports, each eigen-solved on its own."""
+    gram = H.conj().T @ H
+    worst = 0.0
+    for S in supports:
+        eig = np.linalg.eigvalsh(gram[np.ix_(S, S)])
+        worst = max(worst, eig[-1] - 1.0, 1.0 - eig[0])
+    return float(worst)
+
+
+def _duplicated_column(H):
+    H = H.copy()
+    H[:, 7] = H[:, 3]
+    return H
+
+
+# (label, matrix, K): the shapes and scalings the pruned search must match bit
+# for bit. The 16x20, 64x32 and 128x24 cases cross one or more RIP_BATCH blocks.
+RIP_CASES = [
+    ("512x20-K4", lambda: seeded_channel(512, 20, seed=11), 4),
+    ("16x20-K4", lambda: seeded_channel(16, 20, seed=12), 4),
+    ("64x32-K4", lambda: seeded_channel(64, 32, seed=13), 4),
+    ("128x24-K5", lambda: seeded_channel(128, 24, seed=14), 5),
+    ("512x20-times-1e6", lambda: 1e6 * seeded_channel(512, 20, seed=15), 4),
+    ("512x20-times-1e-6", lambda: 1e-6 * seeded_channel(512, 20, seed=15), 4),
+    ("512x20-times-1e100", lambda: 1e100 * seeded_channel(512, 20, seed=15), 3),  # |G_ij|^2 overflows
+    ("512x20-K1", lambda: seeded_channel(512, 20, seed=16), 1),
+    ("512x20-K20", lambda: seeded_channel(512, 20, seed=16), 20),
+    ("duplicated-column", lambda: _duplicated_column(seeded_channel(512, 20, seed=17)), 4),
+    ("orthonormal-columns", lambda: orthonormal_columns(24, 12, seed=18), 3),
+]
+
+
 class TestRipConstant:
+    @pytest.mark.parametrize("make, K", [pytest.param(m, k, id=label) for label, m, k in RIP_CASES])
+    def test_exhaustive_equals_brute_force_bit_for_bit(self, make, K):
+        H = make()
+        n_t = H.shape[1]
+        est = rip_constant(H, K)
+        assert est.delta == brute_force_delta(H, itertools.combinations(range(n_t), K))
+        assert est.subsets_checked == math.comb(n_t, K) and est.exhaustive
+
+    @pytest.mark.parametrize("make, K", [pytest.param(m, k, id=label) for label, m, k in RIP_CASES])
+    def test_sampled_equals_brute_force_on_its_draws(self, make, K):
+        H = make()
+        n = RIP_BATCH + 7
+        gen = np.random.default_rng(5)
+        draws = [gen.choice(H.shape[1], size=K, replace=False) for _ in range(n)]
+        est = rip_constant(H, K, method="sampled", sample_size=n, rng=5)
+        assert est.delta == brute_force_delta(H, draws)
+        assert est.subsets_checked == n and not est.exhaustive
+
+    @pytest.mark.parametrize("n_t, K", [(20, 1), (20, 2), (20, 4), (20, 10), (20, 19), (20, 20), (1, 1), (9, 9)])
+    def test_support_block_yields_each_subset_once(self, n_t, K):
+        total = math.comb(n_t, K)
+        step = 1000  # several blocks, the last one short
+        blocks = [support_block(n_t, K, start, min(start + step, total)) for start in range(0, total, step)]
+        rows = np.concatenate(blocks)
+        assert rows.shape == (total, K)
+        assert sorted(map(tuple, rows.tolist())) == list(itertools.combinations(range(n_t), K))
+
+    def test_overflowing_gram_rejected(self):
+        # H is finite but H^H H is not: a silent delta = 0 would follow
+        with pytest.raises(DomainError, match="^H "):
+            rip_constant(1e200 * generate_channel(16, 6, 0), 2)
+
     def test_orthonormal_columns_have_zero_distortion(self):
         H = orthonormal_columns(16, 8, seed=1)
         for k in (1, 2, 3):
@@ -216,6 +281,12 @@ class TestSupportRecoveryProb:
         with pytest.raises(DomainError):
             support_recovery_prob(8, 1.0, 1.0, 0.0)
 
+    def test_extreme_magnitudes(self):
+        # x = d^2 / (noise_var tau^2) is 1e1000 and 1e-100: d^2 and noise_var tau^2 over- or underflow
+        assert support_recovery_prob(8, 1e200, 1e-200, 1e-100) == 1.0
+        assert support_recovery_prob(8, d=1e200, noise_var=0.1, tau=2.0) == 1.0
+        assert support_recovery_prob(8, 1e-200, 1e-300, 1.0) == 0.0  # (1e-100)^8 / 8! underflows
+
 
 class TestAsymptoticSinr:
     def test_zero_snr(self):
@@ -238,6 +309,24 @@ class TestAsymptoticSinr:
         # for beta = 1 the defining expression collapses to (sqrt(4x+1)-1)/2
         for snr in (0.5, 2.0, 10.0, 123.0):
             assert abs(asymptotic_sinr(snr, 1.0) - (math.sqrt(4 * snr + 1) - 1) / 2) < 1e-9
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 1.5, 4.0])
+    def test_matches_defining_expression(self, beta):
+        # snr - F/4 and 1 - F/(4 beta snr), F = (a - b)^2, as written in the large-system analysis
+        for snr in (0.01, 1.0, 10.0, 100.0):
+            a = math.sqrt(snr * (1 + math.sqrt(beta)) ** 2 + 1)
+            b = math.sqrt(snr * (1 - math.sqrt(beta)) ** 2 + 1)
+            F = (a - b) ** 2
+            assert asymptotic_sinr(snr, beta) == pytest.approx(snr - F / 4, rel=1e-12, abs=0)
+            assert mse_conv_asymptotic(snr, beta) == pytest.approx(1 - F / (4 * beta * snr), rel=1e-12, abs=0)
+
+    def test_extreme_magnitudes_keep_their_limits(self):
+        # sqrt(x) for a square system, 1/(beta - 1) overloaded, x/(1 + beta x) at a huge load
+        assert asymptotic_sinr(1.7e308, 1.0) == pytest.approx(math.sqrt(1.7e308), rel=1e-12, abs=0)
+        assert asymptotic_sinr(1e300, 2.0) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert asymptotic_sinr(10.0, 1e300) == pytest.approx(1e-300, rel=1e-12, abs=0)
+        assert mse_conv_asymptotic(1.7e308, 1.0) == pytest.approx(1 / math.sqrt(1.7e308), rel=1e-12, abs=0)
+        assert mse_conv_asymptotic(1e300, 0.5) == pytest.approx(2e-300, rel=1e-12, abs=0)
 
 
 class TestPeBpsk:

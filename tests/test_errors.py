@@ -1,5 +1,7 @@
 """The input gates: every entry point rejects a bad part of y = sqrt(P) H s + v, count, index or real alike."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from psed import (
     DimensionError,
     DomainError,
     PsedConfig,
+    PsedError,
     SupportSet,
     SweepConfig,
     asymptotic_sinr,
@@ -262,6 +265,35 @@ def test_closed_form_limit_or_refusal_at_infinity(fn, kwargs, arg):
     else:
         with pytest.raises(DomainError):
             fn(**inf_kwargs)
+
+
+# Where each closed form's value lies, given the arguments it was called with.
+IN_RANGE = {
+    "asymptotic_sinr": lambda v, a: 0.0 <= v <= a["snr"],
+    "pe_bpsk": lambda v, a: 0.0 <= v <= 0.5,
+    "mse_conv_asymptotic": lambda v, a: 0.0 <= v <= 1.0,
+    "mse_psed_bound": lambda v, a: 0.0 <= v < math.inf,
+    "mse_psed_closed_form": lambda v, a: 0.0 <= v < math.inf,
+    "support_recovery_prob": lambda v, a: 0.0 <= v <= 1.0,
+    "error_count_concentration": lambda v, a: 0.0 <= v <= 1.0,
+    "mmp_exact_condition": lambda v, a: isinstance(v, bool),
+    "mmp_support_threshold": lambda v, a: (
+        all(0.0 < c < math.inf for c in (v.gamma, v.mu, v.lam)) and v.tau == max(v.gamma, v.mu, v.lam)
+    ),
+    "trace_inverse_limit": lambda v, a: 1.0 <= v < math.inf,
+}
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e300, 1.7e308])
+@pytest.mark.parametrize("fn, kwargs, arg", FLOAT_ARGS)
+def test_closed_form_in_range_or_refused_at_extreme_magnitudes(fn, kwargs, arg, value):
+    # never NaN, an infinity or a bare ArithmeticError from an overflow inside the formula
+    call = dict(kwargs, **{arg: value})
+    try:
+        got = fn(**call)
+    except PsedError:
+        return
+    assert IN_RANGE[fn.__name__](got, call), got
 
 
 # A value of the wrong type for a real argument: (label, bad value from the valid one, error it must raise).
