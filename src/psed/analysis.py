@@ -245,9 +245,11 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
     """Probability that the noise norm stays below the recovery margin.
 
     Evaluates Pr(||v||^2 <= d^2 / tau^2) for v ~ CN(0, noise_var I_{n_r}),
-    i.e. 1 - Gamma(n_r, x)/Gamma(n_r) at x = d^2 / (noise_var tau^2),
-    using the integer-order finite sum for the regularized upper gamma
-    function, accumulated in log space.
+    i.e. 1 - Gamma(n_r, x)/Gamma(n_r) at x = d^2 / (noise_var tau^2).
+    For x >= n_r this is 1 minus the integer-order finite sum for the
+    regularized upper gamma function, accumulated in log space. For
+    x < n_r, where that subtraction would cancel, it is the lower series
+    e^-x sum_{k >= n_r} x^k / k!, whose terms fall by x / (k + 1) < 1.
     """
     n_r = require_count("n_r", n_r)
     d = require_real("d", d, "[0, inf)")
@@ -262,6 +264,13 @@ def support_recovery_prob(n_r: int, d: float, noise_var: float, tau: float) -> f
         x = math.inf
     if x == 0.0:
         return 0.0
+    if x < n_r:
+        total, term, k = 0.0, 1.0, n_r
+        while total + term != total:
+            total += term
+            k += 1
+            term *= x / k
+        return min(math.exp(-x + n_r * log_x - math.lgamma(n_r + 1)) * total, 1.0)
     log_terms = [-x + k * log_x - math.lgamma(k + 1) for k in range(n_r)]
     peak = max(log_terms)
     if peak == -math.inf:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -169,6 +167,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if config.workers == 1:
         per_trial = [_run_trial(config, t) for t in trials]
     else:
+        # Imported here: the pool machinery costs every `import psed` ~20 ms, and only a pool needs it.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         chunk = max(1, math.ceil(config.trials / (config.workers * 4)))
         with ProcessPoolExecutor(max_workers=config.workers, mp_context=get_context("spawn")) as pool:
             per_trial = list(pool.map(_run_trial, [config] * config.trials, trials, chunksize=chunk))

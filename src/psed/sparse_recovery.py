@@ -13,6 +13,9 @@ estimate of e in y' = sqrt(P) H e. The search runs on the Gram matrix
 A^H A, as in Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008): a path
 carries its support, its estimate on that support and the inverse
 Cholesky factor of its Gram block, never an n_r- or n_t-long vector.
+Each layer does only the work its result needs: the first, on the empty
+support, runs no products, and a survivor's factor grows by its bordered
+column only once the stop test lets another layer run.
 The winning path's own estimate is the result: e_hat scatters it onto
 the support, and residual_norm is ||y' - A_S x|| formed from H once.
 `ls_on_support` and `lmmse_on_support` solve one support from H directly;
@@ -36,6 +39,7 @@ LMMSE = "LMMSE"
 # projection energy resolves ||P_perp a_j|| only to about sqrt(eps), so a
 # tighter bound would test rounding noise.
 _RANK_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 DEFAULT_MAX_PATHS = 64
 
 
@@ -55,6 +59,13 @@ class SupportSet:
         if len(set(indices)) != len(indices):
             raise ConfigurationError(f"support contains duplicate indices: {indices}")
         object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def _of_distinct(cls, indices: tuple[int, ...]) -> SupportSet:
+        """The support of indices already known to be distinct non-negative ints, not checked again."""
+        support = object.__new__(cls)
+        object.__setattr__(support, "indices", indices)
+        return support
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -210,7 +221,11 @@ def mmp(
     u = R^-1 w, its estimate is x' = [x - u c_j / d_j, c_j / d_j] and its
     residual energy ||r~||^2 - |c_j|^2 / d_j, minus rho ||x'||^2 to rank by
     ||y' - A x'||^2 as a direct regularized solve would. Survivors of the
-    `max_paths` cut extend R^-1 by one bordered column.
+    `max_paths` cut keep (d_j, u) and extend R^-1 by that bordered column at
+    the start of the next layer, after its stop test passes, so no R^-1 is
+    built after the K-th layer or before a `tol` stop. The first layer, on
+    the empty support, runs no products: there c = c0, d_j = G~_jj and u is
+    empty.
     """
     H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
     K = require_count("K", K, 1, H.shape[1])
@@ -235,9 +250,10 @@ def mmp(
     # The Gram-domain residual energy carries an absolute error of about
     # eps ||y'||^2; below this level the stop test and the final choice use
     # the residual ||y' - A_S x||^2 of the path's own x instead.
-    exact_below = tol2 + 64 * np.finfo(float).eps * y2
+    exact_below = tol2 + 64 * _EPS * y2
 
-    # One row per path of the current layer: support, estimate, R^-1 and ||r~||^2.
+    # One row per path of the current layer: support, estimate and ||r~||^2.
+    # R^-1 belongs to the paths' parents until the next layer borders it with (d, u).
     idx = np.zeros((1, 0), dtype=np.intp)
     x = np.zeros((1, 0), dtype=np.complex128)
     R_inv = np.zeros((1, 0, 0), dtype=np.complex128)
@@ -260,12 +276,15 @@ def mmp(
         on = (rows[:, None], idx)
 
         # Candidates: the top L off-support |c|, c = c0 - G~ x with x over the support columns.
-        used = np.zeros(n_t, dtype=bool)
-        used[idx] = True
-        cols = used.nonzero()[0]
-        X = np.zeros((S, len(cols)), dtype=np.complex128)
-        X[on[0], cols.searchsorted(idx)] = x
-        c = c0 - X @ gram_t[cols]
+        if k:
+            used = np.zeros(n_t, dtype=bool)
+            used[idx] = True
+            cols = used.nonzero()[0]
+            X = np.zeros((S, len(cols)), dtype=np.complex128)
+            X[on[0], cols.searchsorted(idx)] = x
+            c = c0 - X @ gram_t[cols]
+        else:
+            c = c0[None, :]  # the empty support: x is empty, so c = c0
         mag = np.abs(c)
         mag[on] = -np.inf
         width = min(L, n_t - k)
@@ -273,10 +292,20 @@ def mmp(
         for col in range(width):
             cand[:, col] = top = mag.argmax(axis=1)
             mag[rows, top] = -np.inf
-        # One row per candidate: w = R^-H G~[S, j], d_j = G~_jj - ||w||^2, u = R^-1 w.
-        w = np.matmul(gram[idx[:, None, :], cand[:, :, None]], R_inv.conj())
-        d = (col_energy[cand] - (np.abs(w) ** 2).sum(axis=2)).ravel()
-        u = np.matmul(w, R_inv.transpose(0, 2, 1)).reshape(S * width, k)
+        if k:
+            # Another layer runs, so grow each survivor's R^-1 by its bordered column.
+            R_inv_grown = np.zeros((S, k, k), dtype=np.complex128)
+            R_inv_grown[:, :-1, :-1] = R_inv[parent]
+            R_inv_grown[:, -1, -1] = inv_s = 1.0 / np.sqrt(d)
+            R_inv_grown[:, :-1, -1] = u * -inv_s[:, None]
+            R_inv = R_inv_grown
+            # One row per candidate: w = R^-H G~[S, j], d_j = G~_jj - ||w||^2, u = R^-1 w.
+            w = np.matmul(gram[idx[:, None, :], cand[:, :, None]], R_inv.conj())
+            d = (col_energy[cand] - (np.abs(w) ** 2).sum(axis=2)).ravel()
+            u = np.matmul(w, R_inv.transpose(0, 2, 1)).reshape(S * width, k)
+        else:
+            d = col_energy[cand].ravel()  # the empty support: w and u are empty
+            u = np.zeros((width, 0), dtype=np.complex128)
         parent = rows.repeat(width)
         j = cand.ravel()
         if S > 1:
@@ -307,20 +336,16 @@ def mmp(
                 a[keep] for a in (parent, j, d, u, r2_child, x_child, score)
             )
 
-        # Build the survivors: the bordered update of R^-1.
-        R_inv_grown = np.zeros((len(j), k + 1, k + 1), dtype=np.complex128)
-        R_inv_grown[:, :k, :k] = R_inv[parent]
-        R_inv_grown[:, k, k] = inv_s = 1.0 / np.sqrt(d)
-        R_inv_grown[:, :k, k] = u * -inv_s[:, None]
+        # The survivors keep (parent, d, u): R^-1 grows only if another layer runs.
         idx = np.concatenate([idx[parent], j[:, None]], axis=1)
-        R_inv, x, r2 = R_inv_grown, x_child, r2_child
+        x, r2 = x_child, r2_child
         iterations += 1
 
     best = int(np.argmin(score))
     e_hat = np.zeros(n_t, dtype=np.complex128)
     e_hat[idx[best]] = x[best]
     return RecoveryResult(
-        support=SupportSet(idx[best]),
+        support=SupportSet._of_distinct(tuple(idx[best].tolist())),
         e_hat=e_hat,
         residual_norm=float(_residuals(H, y_prime, power, idx[best : best + 1], x[best : best + 1])[0]),
         paths_explored=paths_explored,

@@ -268,6 +268,25 @@ class TestSupportRecoveryProb:
             want = 1.0 - scipy.special.gammaincc(n_r, x)
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n_r, d, noise_var, tau",
+        [
+            (1, 1e-200, 1e-300, 1.0),  # x = 1e-100, P = 1e-100: 1 - Q rounds to 0
+            (64, 7.943, 10.0, 1.0),  # x = 6.31, P = 2.5e-41: 1 - Q rounds to 1e-16
+            (2, 0.5, 1.0, 1.0),
+            (4, math.sqrt(2.0), 1.0, 1.0),
+            (8, math.sqrt(3.0), 1.0, 1.0),
+            (8, math.sqrt(8.0), 1.0, 1.0),
+            (32, math.sqrt(20.0), 1.0, 1.0),
+            (32, math.sqrt(40.0), 1.0, 1.0),
+            (200, math.sqrt(199.9), 1.0, 1.0),
+        ],
+    )
+    def test_relative_accuracy_against_regularized_gamma(self, n_r, d, noise_var, tau):
+        x = math.exp(2.0 * (math.log(d) - math.log(tau)) - math.log(noise_var))
+        want = scipy.special.gammainc(n_r, x)
+        assert support_recovery_prob(n_r, d, noise_var, tau) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_monotone_in_margin_and_noise(self):
         lo = support_recovery_prob(8, d=1.0, noise_var=0.5, tau=2.0)
         hi = support_recovery_prob(8, d=2.0, noise_var=0.5, tau=2.0)

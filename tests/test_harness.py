@@ -1,6 +1,10 @@
 """Tests for the sweep engine and CSV round-tripping."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,13 @@ class TestRunSweep:
         emit_csv(run_sweep(cfg), serial)
         emit_csv(run_sweep(dataclasses.replace(cfg, workers=2)), parallel)
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_import_loads_no_process_pool(self):
+        # Only a workers > 1 sweep needs the pool; a fresh `import psed` must not pay for it.
+        code = "import sys, psed; print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        env = dict(os.environ, PYTHONPATH=str(Path(harness_module.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
 
     def test_rows_equal_those_of_a_sweep_holding_the_detector_alone(self):
         # MF and LMMSE rows are read off PSED-MF and PSED-LMMSE's first stage.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from psed import lmmse_on_support, ls_on_support, mmp
+from psed import SingularMatrixError, lmmse_on_support, ls_on_support, mmp
 from tests.conftest import complex_noise, random_sparse, seeded_channel
 
 ERROR_VAR = 2.0
@@ -126,3 +126,56 @@ def test_matches_reference_on_noise_level_early_stop(n, K, seeds, f):
         assert_same_search(H, y, K, **kwargs)
         stopped += mmp(H, y, 1.0, K=K, **kwargs).iterations < K
     assert stopped > 0
+
+
+@pytest.mark.parametrize("estimator", ["LS", "LMMSE"])
+class TestLayerEdges:
+    """The first layer, on the empty support, and the last one, after which R^-1 is not grown."""
+
+    @staticmethod
+    def search(estimator, **kwargs):
+        return dict(estimator=estimator, error_var=ERROR_VAR, noise_var=NOISE_VAR, **kwargs)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_single_layer_is_first_and_last(self, estimator, L):
+        for seed in range(10):
+            H = seeded_channel(16, 16, seed=8000 + seed)
+            y = H @ random_sparse(16, 2, seed=8000 + seed) + complex_noise(16, seed=8000 + seed, scale=0.2)
+            assert_same_search(H, y, 1, **self.search(estimator, L=L, tol=0.0))
+            assert mmp(H, y, 1.0, K=1, **self.search(estimator, L=L)).iterations == 1
+
+    def test_zero_observation_stops_before_first_layer(self, estimator):
+        H = seeded_channel(16, 16, seed=8100)
+        y = np.zeros(16, dtype=np.complex128)
+        assert_same_search(H, y, 3, **self.search(estimator, L=2))
+        got = mmp(H, y, 1.0, K=3, **self.search(estimator, L=2))
+        assert (got.support.indices, got.iterations, got.paths_explored) == ((), 0, 0)
+        assert not got.e_hat.any() and got.residual_norm == 0.0
+
+    def test_tol_fires_after_first_layer(self, estimator):
+        for seed in range(10):
+            H = seeded_channel(16, 16, seed=8200 + seed)
+            y = 3.0 * H[:, seed] + complex_noise(16, seed=8200 + seed, scale=0.01)
+            kwargs = self.search(estimator, L=2, tol=0.5 * np.linalg.norm(y))
+            assert_same_search(H, y, 4, **kwargs)
+            assert mmp(H, y, 1.0, K=4, **kwargs).iterations == 1
+
+    def test_full_support_clamps_candidate_width(self, estimator):
+        # K = n_t: the last layers have fewer free columns than L.
+        for seed in range(10):
+            H = seeded_channel(6, 5, seed=8300 + seed)
+            y = H @ random_sparse(5, 3, seed=8300 + seed) + complex_noise(6, seed=8300 + seed, scale=0.2)
+            assert_same_search(H, y, 5, **self.search(estimator, L=3, tol=0.0))
+            got = mmp(H, y, 1.0, K=5, **self.search(estimator, L=3, tol=0.0))
+            assert got.iterations == 5 and sorted(got.support.indices) == list(range(5))
+
+    def test_zero_column_is_singular_on_first_layer(self, estimator):
+        # L = n_t makes every column a first-layer candidate; with rho below the
+        # rank floor the regularised Gram of a zero column is singular too. The
+        # reference is no oracle here: its lstsq condition test passes a lone
+        # zero column (0 > 0 is false) and fails only on a two-column support.
+        H = seeded_channel(8, 8, seed=8400)
+        H[:, 5] = 0.0
+        y = H @ random_sparse(8, 2, seed=8400) + complex_noise(8, seed=8400, scale=0.2)
+        with pytest.raises(SingularMatrixError, match=r"^rank-deficient submatrix on support \[5\]$"):
+            mmp(H, y, 1.0, K=3, L=8, estimator=estimator, error_var=ERROR_VAR, noise_var=1e-12)
