@@ -323,19 +323,16 @@ def mse_conv_asymptotic(snr: float, beta: float) -> float:
     return 1.0 / (1.0 + _lmmse_sinr(snr, beta))
 
 
-def mse_psed_bound(snr: float, beta: float, p_e: float, simplified: bool = False) -> float:
-    """Post-recovery MSE lower bound as a function of SNR and error rate.
+def mse_psed_bound(snr: float, beta: float, p_e: float) -> float:
+    """Post-recovery MSE lower bound (1/snr) p_e / (1 - p_e beta).
 
-    The full form is (1/snr) p_e / (1 - p_e beta); `simplified` selects
-    the high-SNR reduction p_e / snr.
+    At vanishing load (beta -> 0) it reduces to p_e / snr.
     """
     snr = require_real("snr", snr, "(0, inf]")
     beta = require_real("beta", beta, "[0, inf)")
     p_e = require_real("p_e", p_e, "[0, 1)")
     if not p_e * beta < 1.0:
         raise DomainError(f"p_e * beta = {p_e * beta:g} must be < 1")
-    if simplified:
-        return p_e / snr
     return (p_e / (1.0 - p_e * beta)) / snr
 
 

@@ -13,7 +13,7 @@ _ML_MAX_DIM = {BPSK: 12, "QPSK": 8}
 
 
 def ml_max_dim(constellation_kind: str) -> int:
-    """Largest n_t the exhaustive ML search accepts by default."""
+    """Largest n_t the exhaustive ML search accepts."""
     return _ML_MAX_DIM.get(constellation_kind, 8)
 
 
@@ -44,22 +44,21 @@ def ml_detect(
     H: np.ndarray,
     power: float,
     constellation: Constellation,
-    max_dim: int | None = None,
 ) -> np.ndarray:
     """Exhaustive maximum-likelihood detection.
 
     y is one observation (n_r,) or a stack (B, n_r) of observations of the
     same H, and the result is (n_t,) or (B, n_t) accordingly; the received
     signal of every candidate is formed once per call. Enumerates every
-    candidate symbol vector, so n_t is capped (default 12 for BPSK, 8 for
-    QPSK) to keep the search from blowing up.
+    candidate symbol vector, so n_t is capped at `ml_max_dim` (12 for BPSK,
+    8 for QPSK) to keep the search from blowing up.
     """
     H, y, _ = require_system(H, y, power=power, stacked=True)
     n_t = H.shape[1]
-    cap = ml_max_dim(constellation.kind) if max_dim is None else require_count("max_dim", max_dim)
+    cap = ml_max_dim(constellation.kind)
     if n_t > cap:
         raise CapacityError(
-            f"exhaustive ML with n_t={n_t} exceeds max_dim={cap} "
+            f"exhaustive ML with n_t={n_t} exceeds its cap of {cap} "
             f"({len(constellation)}^{n_t} candidates)"
         )
     # Keyed by the points themselves, so an alphabet with other points gets its own table.

@@ -65,7 +65,7 @@ class SweepConfig:
         make_constellation(self.constellation)
         if ML in self.detectors and self.n_t > (cap := baselines.ml_max_dim(self.constellation)):
             raise ConfigurationError(
-                f"ML detection infeasible: n_t={self.n_t} exceeds max_dim={cap} for {self.constellation}"
+                f"ML detection infeasible: n_t={self.n_t} exceeds the cap of {cap} for {self.constellation}"
             )
         if KBEST in self.detectors:
             baselines.require_kbest_shape(self.n_r, self.n_t)

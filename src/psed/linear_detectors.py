@@ -45,11 +45,6 @@ class WeightMatrix:
         return self.M if self.gram is None else np.linalg.solve(self.G.conj().T, self.M.conj().T).conj().T
 
 
-def _as_weights(weights: WeightMatrix | np.ndarray) -> WeightMatrix:
-    """`weights` itself, or a bare W array held as weights."""
-    return weights if isinstance(weights, WeightMatrix) else WeightMatrix("W", np.asarray(weights))
-
-
 def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> WeightMatrix:
     """Build the weight matrix for one of the conventional linear detectors.
 
@@ -79,16 +74,15 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
     raise ConfigurationError(f"unknown linear detector kind {kind!r}; expected one of {DETECTOR_KINDS}")
 
 
-def detect(weights: WeightMatrix | np.ndarray, y: np.ndarray) -> np.ndarray:
+def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
     """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights."""
-    weights = _as_weights(weights)
     M, y, _ = require_system(weights.M, y)
     s_tilde = M.conj().T @ y
     return s_tilde if weights.gram is None else np.linalg.solve(weights.G, s_tilde)
 
 
 def residual_stream_variance(
-    H: np.ndarray, weights: WeightMatrix | np.ndarray, power: float, noise_var: float, i: int
+    H: np.ndarray, weights: WeightMatrix, power: float, noise_var: float, i: int
 ) -> float:
     """Variance of stream i's interference-plus-noise at the detector output.
 
@@ -97,7 +91,7 @@ def residual_stream_variance(
     """
     H, _, _ = require_system(H, power=power, noise_var=noise_var)
     i = require_count("i", i, 0, H.shape[1] - 1)
-    w_i = _as_weights(weights).W[:, i]
+    w_i = weights.W[:, i]
     hw = H.conj().T @ w_i
     total = power * np.vdot(hw, hw).real + noise_var * np.vdot(w_i, w_i).real
     signal = power * np.abs(np.vdot(w_i, H[:, i])) ** 2

@@ -41,7 +41,6 @@ class Constellation:
 
     kind: str
     points: np.ndarray = field(repr=False)
-    bits_per_symbol: int
 
     def __len__(self) -> int:
         return len(self.points)
@@ -63,7 +62,7 @@ def make_constellation(kind: str) -> Constellation:
             f"unsupported constellation kind {kind!r}; expected one of "
             f"{sorted(_CONSTELLATION_POINTS)}"
         ) from None
-    return Constellation(kind=kind, points=points.copy(), bits_per_symbol=points.size.bit_length() - 1)
+    return Constellation(kind=kind, points=points.copy())
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,6 @@ class SystemInstance:
     y: np.ndarray
     power: float
     noise_var: float | np.ndarray
-
-    @property
-    def snr(self) -> float | np.ndarray:
-        """P / noise_var, infinite at zero noise; one per row when stacked."""
-        with np.errstate(divide="ignore"):
-            return self.power / np.asarray(self.noise_var)
-
-    def rebuild_error(self) -> float | np.ndarray:
-        """Max-norm gap between the stored y and sqrt(P) H s + v; one per row when stacked."""
-        return np.abs(self.y - (np.sqrt(self.power) * self.H @ self.s + self.v)).max(axis=-1)
 
 
 def rng_stream(master_seed: int, tag: str, trial_index: int = 0) -> np.random.Generator:

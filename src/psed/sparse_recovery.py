@@ -121,7 +121,8 @@ def ls_on_support(H: np.ndarray, y_prime: np.ndarray, power: float, support) -> 
         raise ConfigurationError(f"support size {len(idx)} exceeds {H.shape[0]} measurements")
     A_s = np.sqrt(power) * H[:, idx]
     coef, _, _, sv = np.linalg.lstsq(A_s, y_prime, rcond=None)
-    if sv[0] > _COND_LIMIT * sv[-1]:  # cond(A_s) from the singular values lstsq computed
+    # cond(A_s) from the singular values lstsq computed; an all-zero A_s has sv[0] = sv[-1] = 0
+    if sv[-1] == 0.0 or sv[0] > _COND_LIMIT * sv[-1]:
         raise SingularMatrixError(f"rank-deficient submatrix on support {idx}")
     e_hat[idx] = coef
     return e_hat

@@ -233,6 +233,7 @@ def test_criterion_2_ser_gain():
         trials=10_000,
         master_seed=1,
         psed=PsedConfig(tol=0.0, sparsity=4, branch=2),
+        workers=2,  # results are identical for any worker count (tests/test_harness.py)
     )
     result = run_sweep(config)
     lmmse = [r for r in result.rows if r.detector == "LMMSE"]
@@ -263,6 +264,7 @@ def test_criterion_3_mse_bound_shape():
         trials=1000,
         master_seed=1,
         psed=PsedConfig(tol=0.0, branch=2),
+        workers=2,  # results are identical for any worker count (tests/test_harness.py)
     )
     result = run_mse_curves(config)
     lmmse = {r.snr_db: r for r in result.rows if r.detector == "LMMSE"}

@@ -398,8 +398,7 @@ class TestMsePsedBound:
 
     def test_vanishing_load_matches_simplified_form(self):
         p_e, snr = 0.01, 50.0
-        assert mse_psed_bound(snr, 0.0, p_e) == mse_psed_bound(snr, 0.0, p_e, simplified=True)
-        assert abs(mse_psed_bound(snr, 0.0, p_e) - p_e / snr) < 1e-18
+        assert mse_psed_bound(snr, 0.0, p_e) == p_e / snr
 
     def test_composition_with_sinr_and_pe(self):
         snr = 100.0

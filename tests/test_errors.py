@@ -180,7 +180,6 @@ SETTINGS = [
     ("support_recovery_prob", "n_r", 1, None, lambda v: support_recovery_prob(v, 1.0, 0.1, 2.0)),
     ("error_count_concentration", "n_t", 1, None, lambda v: error_count_concentration(v, 0.1, 0.05)),
     ("kbest_detect", "m", 1, None, lambda v: kbest_detect(Y0, H0, 1.0, QPSK, m=v)),
-    ("ml_detect", "max_dim", 1, None, lambda v: ml_detect(Y0, H0[:, :1], 1.0, QPSK, max_dim=v)),
     ("generate_channel", "n_r", 1, None, lambda v: generate_channel(v, 4, 0)),
     ("generate_channel", "n_t", 1, None, lambda v: generate_channel(4, v, 0)),
     ("draw_symbols", "n_t", 1, None, lambda v: draw_symbols(QPSK, v, 0)),

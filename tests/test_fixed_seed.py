@@ -35,6 +35,12 @@ DATA = Path(__file__).parent / "data"
             ["sweep-ser", "--n_r", "64", "--n_t", "64", "--psed.estimator", "LMMSE", "--trials", "20"],
             id="square64-lmmse-estimator",
         ),
+        pytest.param(
+            "square32_all_seed1_20.csv",
+            ["sweep-ser", "--n_r", "32", "--n_t", "32",
+             "--detectors", "MF,LMMSE,PSED-MF,PSED-LMMSE,KBEST", "--trials", "20"],
+            id="square32-all-detectors",
+        ),
     ],
 )
 def test_sweep_matches_committed_csv(tmp_path, name, argv):

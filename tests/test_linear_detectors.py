@@ -23,14 +23,14 @@ from tests.conftest import complex_noise, seeded_channel
 
 def zf_weights(H, power):
     """Zero-forcing weights H (H^H H)^-1 / sqrt(P), the noiseless limit of LMMSE."""
-    return H @ np.linalg.inv(H.conj().T @ H) / np.sqrt(power)
+    return WeightMatrix("ZF", H @ np.linalg.inv(H.conj().T @ H) / np.sqrt(power))
 
 
 class TestWeightMatrix:
     def test_lmmse_converges_to_zf(self):
         H = seeded_channel(8, 8, seed=2)
         lmmse = weight_matrix(H, "LMMSE", 1.0, 1e-12)
-        assert np.abs(lmmse.W - zf_weights(H, 1.0)).max() < 1e-6
+        assert np.abs(lmmse.W - zf_weights(H, 1.0).W).max() < 1e-6
 
     def test_scalar_lmmse(self):
         w = weight_matrix(np.array([[1.0 + 0j]]), "LMMSE", 1.0, 1.0)
@@ -98,7 +98,7 @@ class TestDetect:
     @given(seed=st.integers(0, 10_000), a_re=st.floats(-3, 3), a_im=st.floats(-3, 3))
     def test_linearity(self, seed, a_re, a_im):
         rng = np.random.default_rng(seed)
-        W = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        W = WeightMatrix("MF", rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
         y1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         y2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         a = a_re + 1j * a_im

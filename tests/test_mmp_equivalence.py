@@ -172,10 +172,15 @@ class TestLayerEdges:
     def test_zero_column_is_singular_on_first_layer(self, estimator):
         # L = n_t makes every column a first-layer candidate; with rho below the
         # rank floor the regularised Gram of a zero column is singular too. The
-        # reference is no oracle here: its lstsq condition test passes a lone
-        # zero column (0 > 0 is false) and fails only on a two-column support.
+        # LS reference raises on the same support; the LMMSE one, regularised,
+        # solves it and so is no oracle here.
         H = seeded_channel(8, 8, seed=8400)
         H[:, 5] = 0.0
         y = H @ random_sparse(8, 2, seed=8400) + complex_noise(8, seed=8400, scale=0.2)
-        with pytest.raises(SingularMatrixError, match=r"^rank-deficient submatrix on support \[5\]$"):
-            mmp(H, y, 1.0, K=3, L=8, estimator=estimator, error_var=ERROR_VAR, noise_var=1e-12)
+        search = dict(estimator=estimator, error_var=ERROR_VAR, noise_var=1e-12)
+        message = r"^rank-deficient submatrix on support \[5\]$"
+        with pytest.raises(SingularMatrixError, match=message):
+            mmp(H, y, 1.0, K=3, L=8, **search)
+        if estimator == "LS":
+            with pytest.raises(SingularMatrixError, match=message):
+                reference_mmp(H, y, 1.0, 3, 8, **search)

@@ -86,6 +86,13 @@ class TestLsOnSupport:
         with pytest.raises(SingularMatrixError, match=r"\[2, 3\]"):
             ls_on_support(H, complex_noise(8, seed=4), 1.0, [2, 3])
 
+    def test_lone_zero_column_is_singular(self):
+        # every singular value is zero, so the condition-number test alone reads 0 > 0
+        H = np.eye(4, dtype=np.complex128)
+        H[:, 2] = 0.0
+        with pytest.raises(SingularMatrixError, match=r"^rank-deficient submatrix on support \[2\]$"):
+            ls_on_support(H, np.ones(4, dtype=np.complex128), 1.0, [2])
+
     def test_empty_support_returns_zeros(self):
         H = seeded_channel(8, 6, seed=5)
         got = ls_on_support(H, complex_noise(8, seed=5), 1.0, ())
