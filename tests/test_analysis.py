@@ -400,6 +400,15 @@ class TestMsePsedBound:
         p_e, snr = 0.01, 50.0
         assert mse_psed_bound(snr, 0.0, p_e) == p_e / snr
 
+    def test_grows_with_load(self):
+        # each detection error drags others in: the floor p_e / (1 - p_e beta) rises with beta
+        bounds = [mse_psed_bound(20.0, beta, 0.1) for beta in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+    def test_inverse_in_snr(self):
+        p_e, beta = 0.05, 1.5
+        assert abs(mse_psed_bound(1000.0, beta, p_e) * 1000.0 - mse_psed_bound(1.0, beta, p_e)) < 1e-15
+
     def test_composition_with_sinr_and_pe(self):
         snr = 100.0
         p_e = pe_bpsk(asymptotic_sinr(snr, 1.0))

@@ -20,7 +20,7 @@ from psed import (
     rng_stream,
     transmit,
 )
-from psed.baselines import _kbest_search, ml_cost
+from psed.baselines import _kbest_search, ml_cost, ml_max_dim
 from tests.conftest import seeded_channel
 
 
@@ -62,6 +62,17 @@ class TestMlDetect:
         y = np.zeros(10, dtype=np.complex128)
         with pytest.raises(CapacityError):
             ml_detect(y, H, 1.0, qpsk)
+
+    @pytest.mark.parametrize("kind", ["BPSK", "QPSK"])
+    def test_cap_is_the_constellation_limit(self, kind):
+        # the cap is ml_max_dim(kind): searched at the cap, refused one stream above it
+        constellation = make_constellation(kind)
+        cap = ml_max_dim(kind)
+        H = seeded_channel(cap + 2, cap + 1, seed=5)
+        s = draw_symbols(constellation, cap, rng_stream(5, "symbols"))
+        np.testing.assert_array_equal(ml_detect(H[:, :cap] @ s, H[:, :cap], 1.0, constellation), s)
+        with pytest.raises(CapacityError, match=rf"n_t={cap + 1} exceeds its cap of {cap} "):
+            ml_detect(np.zeros(cap + 2, dtype=np.complex128), H, 1.0, constellation)
 
 
 def non_finite_inputs():

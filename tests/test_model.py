@@ -94,6 +94,14 @@ class TestTransmit:
         mean_sq = np.mean(np.abs(np.concatenate(draws)) ** 2)
         assert abs(mean_sq - 0.25) < 0.01 * 0.25
 
+    def test_instance_keeps_power_and_noise_var(self, qpsk):
+        # the SNR of an instance is power / noise_var, both held as given
+        H = generate_channel(4, 4, rng_stream(3, "channel"))
+        s = draw_symbols(qpsk, 4, rng_stream(3, "symbols"))
+        inst = transmit(H, s, 1.0, 0.1, rng_stream(3, "noise"))
+        assert inst.power == 1.0 and inst.noise_var == 0.1
+        assert abs(inst.power / inst.noise_var - 10.0) < 1e-12
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n_r,n_t", [(8, 8), (16, 4)])
     def test_rebuild_invariant(self, qpsk, seed, n_r, n_t):
