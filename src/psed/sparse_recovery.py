@@ -13,6 +13,10 @@ estimate of e in y' = sqrt(P) H e. The search runs on the Gram matrix
 A^H A, as in Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008): a path
 carries its support, its estimate on that support and the inverse
 Cholesky factor of its Gram block, never an n_r- or n_t-long vector.
+The factors are held conjugated, as conj(R^-1), in two workspaces that
+one call allocates and swaps layer by layer, so a layer copies its
+survivors' factors instead of allocating new ones; the workspaces grow,
+by doubling, only with the number of paths a layer keeps.
 Each layer does only the work its result needs: the first, on the empty
 support, runs no products, and a survivor's factor grows by its bordered
 column only once the stop test lets another layer run.
@@ -167,6 +171,13 @@ def _residuals(H: np.ndarray, y_prime: np.ndarray, power: float, idx: np.ndarray
     return np.linalg.norm(y_prime - np.sqrt(power) * fit, axis=1)
 
 
+def _room(workspace: np.ndarray, rows: int) -> np.ndarray:
+    """`workspace` if it has `rows` rows, else an empty one with max(rows, twice its rows)."""
+    if len(workspace) >= rows:
+        return workspace
+    return np.empty((max(rows, 2 * len(workspace)), *workspace.shape[1:]), dtype=workspace.dtype)
+
+
 def omp(H: np.ndarray, y_prime: np.ndarray, power: float, K: int, tol: float | None = None) -> RecoveryResult:
     """Orthogonal matching pursuit for at most K iterations.
 
@@ -227,6 +238,14 @@ def mmp(
     built after the K-th layer or before a `tol` stop. The first layer, on
     the empty support, runs no products: there c = c0, d_j = G~_jj and u is
     empty.
+
+    Each R^-1 is stored as conj(R^-1) in a (K-1) x (K-1) slot of one of two
+    workspaces allocated per call: a layer gathers its parents' slots into
+    the other workspace, writes the bordered column there and runs its w
+    and u products on views of it, so no layer allocates a factor. The
+    layer's c and |c| go to two more per-call workspaces. All four start
+    with min(max_paths, 64) rows and double when a layer keeps more paths,
+    so their size follows the search and never the `max_paths` bound alone.
     """
     H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
     K = require_count("K", K, 1, H.shape[1])
@@ -254,10 +273,18 @@ def mmp(
     exact_below = tol2 + 64 * _EPS * y2
 
     # One row per path of the current layer: support, estimate and ||r~||^2.
-    # R^-1 belongs to the paths' parents until the next layer borders it with (d, u).
+    # conj(R^-1) belongs to the paths' parents until the next layer borders it
+    # with (d, u). It is the leading k x k block of the path's (K-1) x (K-1)
+    # slot in one of two workspaces that swap each layer: a layer gathers its
+    # parents' slots from one into the other. The layer's c and |c| fill rows
+    # of two more. All four start with a row for each path the default cut
+    # keeps, since memory grown mid-search lands on fresh pages every call;
+    # one is doubled only when a layer has more paths than it has rows.
     idx = np.zeros((1, 0), dtype=np.intp)
     x = np.zeros((1, 0), dtype=np.complex128)
-    R_inv = np.zeros((1, 0, 0), dtype=np.complex128)
+    rows0 = min(max_paths, DEFAULT_MAX_PATHS)
+    R_conj, spare = (np.empty((rows0, K - 1, K - 1), dtype=np.complex128) for _ in range(2))
+    corr, corr_mag = np.empty((rows0, n_t), dtype=np.complex128), np.empty((rows0, n_t))
     r2 = np.array([y2])
     score = r2
 
@@ -275,6 +302,7 @@ def mmp(
         S, k = idx.shape
         rows = np.arange(S)
         on = (rows[:, None], idx)
+        corr, corr_mag, spare = _room(corr, S), _room(corr_mag, S), _room(spare, S)
 
         # Candidates: the top L off-support |c|, c = c0 - G~ x with x over the support columns.
         if k:
@@ -283,10 +311,10 @@ def mmp(
             cols = used.nonzero()[0]
             X = np.zeros((S, len(cols)), dtype=np.complex128)
             X[on[0], cols.searchsorted(idx)] = x
-            c = c0 - X @ gram_t[cols]
+            c = np.subtract(c0, np.matmul(X, gram_t[cols], out=corr[:S]), out=corr[:S])
         else:
             c = c0[None, :]  # the empty support: x is empty, so c = c0
-        mag = np.abs(c)
+        mag = np.abs(c, out=corr_mag[:S])
         mag[on] = -np.inf
         width = min(L, n_t - k)
         cand = np.empty((S, width), dtype=np.intp)
@@ -294,16 +322,20 @@ def mmp(
             cand[:, col] = top = mag.argmax(axis=1)
             mag[rows, top] = -np.inf
         if k:
-            # Another layer runs, so grow each survivor's R^-1 by its bordered column.
-            R_inv_grown = np.zeros((S, k, k), dtype=np.complex128)
-            R_inv_grown[:, :-1, :-1] = R_inv[parent]
-            R_inv_grown[:, -1, -1] = inv_s = 1.0 / np.sqrt(d)
-            R_inv_grown[:, :-1, -1] = u * -inv_s[:, None]
-            R_inv = R_inv_grown
-            # One row per candidate: w = R^-H G~[S, j], d_j = G~_jj - ||w||^2, u = R^-1 w.
-            w = np.matmul(gram[idx[:, None, :], cand[:, :, None]], R_inv.conj())
+            # Another layer runs, so grow each survivor's conj(R^-1) by its bordered
+            # column. The new row is zero left of the diagonal, as the products
+            # below read the whole k x k block.
+            grown = np.take(R_conj, parent, axis=0, out=spare[:S], mode="clip")
+            grown[:, k - 1, : k - 1] = 0.0
+            grown[:, k - 1, k - 1] = inv_s = 1.0 / np.sqrt(d)
+            np.multiply(u.conj(), -inv_s[:, None], out=grown[:, : k - 1, k - 1])
+            R_conj, spare = spare, R_conj
+            R_conj_k = grown[:, :k, :k]
+            # One row per candidate: w = R^-H G~[S, j], d_j = G~_jj - ||w||^2 and
+            # u = R^-1 w, formed as conj(conj(w) conj(R^-1)^T).
+            w = np.matmul(gram[idx[:, None, :], cand[:, :, None]], R_conj_k)
             d = (col_energy[cand] - (np.abs(w) ** 2).sum(axis=2)).ravel()
-            u = np.matmul(w, R_inv.transpose(0, 2, 1)).reshape(S * width, k)
+            u = np.conjugate(np.matmul(w.conj(), R_conj_k.transpose(0, 2, 1))).reshape(S * width, k)
         else:
             d = col_energy[cand].ravel()  # the empty support: w and u are empty
             u = np.zeros((width, 0), dtype=np.complex128)

@@ -130,7 +130,8 @@ def test_matches_reference_on_noise_level_early_stop(n, K, seeds, f):
 
 @pytest.mark.parametrize("estimator", ["LS", "LMMSE"])
 class TestLayerEdges:
-    """The first layer, on the empty support, and the last one, after which R^-1 is not grown."""
+    """The first layer, on the empty support, the last one, after which R^-1 is not
+    grown, and layers that fill or outgrow the per-call factor workspaces."""
 
     @staticmethod
     def search(estimator, **kwargs):
@@ -184,3 +185,32 @@ class TestLayerEdges:
         if estimator == "LS":
             with pytest.raises(SingularMatrixError, match=message):
                 reference_mmp(H, y, 1.0, 3, 8, **search)
+
+    def test_one_path_per_layer(self, estimator):
+        # max_paths = 1: each workspace has one slot, and every layer reuses it.
+        for seed in range(10):
+            H = seeded_channel(16, 16, seed=8500 + seed)
+            y = H @ random_sparse(16, 3, seed=8500 + seed) + complex_noise(16, seed=8500 + seed, scale=0.2)
+            assert_same_search(H, y, 5, **self.search(estimator, L=3, tol=0.0, max_paths=1))
+
+    def test_cut_at_the_full_tree_width(self, estimator):
+        # max_paths = L^(K-1) no layer before the K-th can exceed, so the cut
+        # first fires there; a search whose second layer keeps all L^2 children
+        # fills every slot of the workspaces the third layer grows.
+        K, L = 3, 3
+        filled = 0
+        for seed in range(30):
+            H = seeded_channel(16, 16, seed=8600 + seed)
+            y = H @ random_sparse(16, 3, seed=8600 + seed) + complex_noise(16, seed=8600 + seed, scale=0.2)
+            search = self.search(estimator, L=L, tol=0.0, max_paths=L ** (K - 1))
+            assert_same_search(H, y, K, **search)
+            filled += mmp(H, y, 1.0, K=2, **search).paths_explored == L + L**2
+        assert filled > 0
+
+    def test_layers_outgrow_the_workspaces(self, estimator):
+        # Layers keep up to ~600 paths, so the workspaces, which start with 64
+        # rows, are regrown several times mid-search.
+        for seed in range(3):
+            H = seeded_channel(24, 24, seed=8700 + seed)
+            y = H @ random_sparse(24, 3, seed=8700 + seed) + complex_noise(24, seed=8700 + seed, scale=0.2)
+            assert_same_search(H, y, 9, **self.search(estimator, L=3, tol=0.0, max_paths=2000))

@@ -1,6 +1,8 @@
 """Tests for support-restricted estimation and the matching pursuits."""
 
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -279,6 +281,32 @@ class TestMmp:
         reg0 = mmp(H, y, 1.0, K=2, L=2, tol=0.0, estimator="LMMSE", error_var=2.0, noise_var=0.0)
         assert reg0.support == ls.support
         np.testing.assert_allclose(reg0.e_hat, ls.e_hat, atol=1e-9)
+
+    def test_memory_follows_the_paths_kept(self):
+        # A noise-level stop ends this search after 12 layers, whose widest
+        # keeps 77 paths. With the cut far above that, the search's memory
+        # must follow the paths its layers keep, not the cut.
+        scale = 0.2
+        H = seeded_channel(128, 128, seed=9100)
+        y = H @ random_sparse(128, 4, seed=9100) + complex_noise(128, seed=9100, scale=scale)
+        tracemalloc.start()
+        try:
+            mmp(H, y, 1.0, K=19, L=2, tol=0.85 * np.sqrt(128 * 2 * scale**2), max_paths=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_no_state_outlives_a_call(self):
+        def search(seed):
+            H = seeded_channel(32, 32, seed=9200 + seed)
+            y = H @ random_sparse(32, 4, seed=9200 + seed) + complex_noise(32, seed=9200 + seed, scale=0.2)
+            got = mmp(H, y, 1.0, K=6, L=2 + seed % 2, tol=0.0, max_paths=4 + 60 * (seed % 3 == 0))
+            return got.support.indices, got.e_hat.tobytes(), got.paths_explored
+
+        serial = [search(seed) for seed in range(20)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(search, range(20))) == serial
 
     def test_bad_args_rejected(self):
         H = seeded_channel(8, 10, seed=61)
