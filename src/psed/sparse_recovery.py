@@ -242,10 +242,11 @@ def mmp(
     Each R^-1 is stored as conj(R^-1) in a (K-1) x (K-1) slot of one of two
     workspaces allocated per call: a layer gathers its parents' slots into
     the other workspace, writes the bordered column there and runs its w
-    and u products on views of it, so no layer allocates a factor. The
-    layer's c and |c| go to two more per-call workspaces. All four start
-    with min(max_paths, 64) rows and double when a layer keeps more paths,
-    so their size follows the search and never the `max_paths` bound alone.
+    and u products on views of it, so no layer allocates a factor; u is
+    kept as conj(u), the form its bordered column takes. The layer's c goes
+    to a third per-call workspace. All three start with min(max_paths, 64)
+    rows and double when a layer keeps more paths, so a large `max_paths`
+    costs memory only for the paths the layers keep.
     """
     H, y_prime, _ = require_system(H, y_prime, power=power, noise_var=noise_var)
     K = require_count("K", K, 1, H.shape[1])
@@ -274,17 +275,14 @@ def mmp(
 
     # One row per path of the current layer: support, estimate and ||r~||^2.
     # conj(R^-1) belongs to the paths' parents until the next layer borders it
-    # with (d, u). It is the leading k x k block of the path's (K-1) x (K-1)
-    # slot in one of two workspaces that swap each layer: a layer gathers its
-    # parents' slots from one into the other. The layer's c and |c| fill rows
-    # of two more. All four start with a row for each path the default cut
-    # keeps, since memory grown mid-search lands on fresh pages every call;
-    # one is doubled only when a layer has more paths than it has rows.
+    # with (d, u); it is the leading k x k block of the parent's slot in R_conj.
+    # The workspaces start with rows for the default cut's paths because memory
+    # first taken mid-search lands on fresh pages on every call.
     idx = np.zeros((1, 0), dtype=np.intp)
     x = np.zeros((1, 0), dtype=np.complex128)
     rows0 = min(max_paths, DEFAULT_MAX_PATHS)
-    R_conj, spare = (np.empty((rows0, K - 1, K - 1), dtype=np.complex128) for _ in range(2))
-    corr, corr_mag = np.empty((rows0, n_t), dtype=np.complex128), np.empty((rows0, n_t))
+    R_conj, spare = np.empty((2, rows0, K - 1, K - 1), dtype=np.complex128)
+    corr = np.empty((rows0, n_t), dtype=np.complex128)
     r2 = np.array([y2])
     score = r2
 
@@ -302,7 +300,7 @@ def mmp(
         S, k = idx.shape
         rows = np.arange(S)
         on = (rows[:, None], idx)
-        corr, corr_mag, spare = _room(corr, S), _room(corr_mag, S), _room(spare, S)
+        corr, spare = _room(corr, S), _room(spare, S)
 
         # Candidates: the top L off-support |c|, c = c0 - G~ x with x over the support columns.
         if k:
@@ -311,10 +309,11 @@ def mmp(
             cols = used.nonzero()[0]
             X = np.zeros((S, len(cols)), dtype=np.complex128)
             X[on[0], cols.searchsorted(idx)] = x
-            c = np.subtract(c0, np.matmul(X, gram_t[cols], out=corr[:S]), out=corr[:S])
+            c = np.matmul(X, gram_t[cols], out=corr[:S])
+            np.subtract(c0, c, out=c)
         else:
             c = c0[None, :]  # the empty support: x is empty, so c = c0
-        mag = np.abs(c, out=corr_mag[:S])
+        mag = np.abs(c)
         mag[on] = -np.inf
         width = min(L, n_t - k)
         cand = np.empty((S, width), dtype=np.intp)
@@ -328,17 +327,18 @@ def mmp(
             grown = np.take(R_conj, parent, axis=0, out=spare[:S], mode="clip")
             grown[:, k - 1, : k - 1] = 0.0
             grown[:, k - 1, k - 1] = inv_s = 1.0 / np.sqrt(d)
-            np.multiply(u.conj(), -inv_s[:, None], out=grown[:, : k - 1, k - 1])
+            grown[:, : k - 1, k - 1] = u_conj * -inv_s[:, None]
             R_conj, spare = spare, R_conj
             R_conj_k = grown[:, :k, :k]
             # One row per candidate: w = R^-H G~[S, j], d_j = G~_jj - ||w||^2 and
-            # u = R^-1 w, formed as conj(conj(w) conj(R^-1)^T).
+            # u = R^-1 w, kept as conj(u) = conj(w) conj(R^-1)^T, the form its
+            # bordered column takes in conj(R^-1).
             w = np.matmul(gram[idx[:, None, :], cand[:, :, None]], R_conj_k)
             d = (col_energy[cand] - (np.abs(w) ** 2).sum(axis=2)).ravel()
-            u = np.conjugate(np.matmul(w.conj(), R_conj_k.transpose(0, 2, 1))).reshape(S * width, k)
+            u_conj = np.matmul(w.conj(), R_conj_k.transpose(0, 2, 1)).reshape(S * width, k)
         else:
             d = col_energy[cand].ravel()  # the empty support: w and u are empty
-            u = np.zeros((width, 0), dtype=np.complex128)
+            u_conj = np.zeros((width, 0), dtype=np.complex128)
         parent = rows.repeat(width)
         j = cand.ravel()
         if S > 1:
@@ -349,7 +349,7 @@ def mmp(
             order = keys.argsort(kind="stable")
             run = keys[order]
             first = np.sort(order[np.concatenate([[True], run[1:] != run[:-1]])])
-            parent, j, d, u = parent[first], j[first], d[first], u[first]
+            parent, j, d, u_conj = parent[first], j[first], d[first], u_conj[first]
         paths_explored += len(j)
 
         # Score every child from its parent's state before building any.
@@ -361,12 +361,12 @@ def mmp(
         cj = c[parent, j]
         r2_child = r2[parent] - np.abs(cj) ** 2 / d
         step = (cj / d)[:, None]
-        x_child = np.concatenate([x[parent] - u * step, step], axis=1)
+        x_child = np.concatenate([x[parent] - u_conj.conj() * step, step], axis=1)
         score = r2_child - rho * (np.abs(x_child) ** 2).sum(axis=1) if rho > 0 else r2_child
         if len(j) > max_paths:
             keep = score.argsort(kind="stable")[:max_paths]
-            parent, j, d, u, r2_child, x_child, score = (
-                a[keep] for a in (parent, j, d, u, r2_child, x_child, score)
+            parent, j, d, u_conj, r2_child, x_child, score = (
+                a[keep] for a in (parent, j, d, u_conj, r2_child, x_child, score)
             )
 
         # The survivors keep (parent, d, u): R^-1 grows only if another layer runs.

@@ -1,6 +1,7 @@
 """Tests for support-restricted estimation and the matching pursuits."""
 
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -305,8 +306,14 @@ class TestMmp:
             return got.support.indices, got.e_hat.tobytes(), got.paths_explored
 
         serial = [search(seed) for seed in range(20)]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert list(pool.map(search, range(20))) == serial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(search, range(20), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_bad_args_rejected(self):
         H = seeded_channel(8, 10, seed=61)
