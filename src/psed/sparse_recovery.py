@@ -275,7 +275,7 @@ def mmp(
 
     # One row per path of the current layer: support, estimate and ||r~||^2.
     # conj(R^-1) belongs to the paths' parents until the next layer borders it
-    # with (d, u); it is the leading k x k block of the parent's slot in R_conj.
+    # with (d, conj(u)); it is the leading k x k block of the parent's slot in R_conj.
     # The workspaces start with rows for the default cut's paths because memory
     # first taken mid-search lands on fresh pages on every call.
     idx = np.zeros((1, 0), dtype=np.intp)
@@ -369,7 +369,7 @@ def mmp(
                 a[keep] for a in (parent, j, d, u_conj, r2_child, x_child, score)
             )
 
-        # The survivors keep (parent, d, u): R^-1 grows only if another layer runs.
+        # The survivors keep (parent, d, conj(u)): R^-1 grows only if another layer runs.
         idx = np.concatenate([idx[parent], j[:, None]], axis=1)
         x, r2 = x_child, r2_child
         iterations += 1

@@ -194,9 +194,9 @@ class TestLayerEdges:
             assert_same_search(H, y, 5, **self.search(estimator, L=3, tol=0.0, max_paths=1))
 
     def test_cut_at_the_full_tree_width(self, estimator):
-        # max_paths = L^(K-1) no layer before the K-th can exceed, so the cut
-        # first fires there; a search whose second layer keeps all L^2 children
-        # fills every slot of the workspaces the third layer grows.
+        # max_paths = L^(K-1) is a width no layer before the K-th can exceed,
+        # so the cut can fire only there; a search whose second layer keeps
+        # all L^2 children fills every slot the third layer gathers into.
         K, L = 3, 3
         filled = 0
         for seed in range(30):
@@ -208,7 +208,7 @@ class TestLayerEdges:
         assert filled > 0
 
     def test_layers_outgrow_the_workspaces(self, estimator):
-        # Layers keep up to ~600 paths, so the workspaces, which start with 64
+        # Layers keep up to 380-670 paths, so the workspaces, which start with 64
         # rows, are regrown several times mid-search.
         for seed in range(3):
             H = seeded_channel(24, 24, seed=8700 + seed)
