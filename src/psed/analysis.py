@@ -1,7 +1,10 @@
 """Closed-form and brute-force analysis tools.
 
 Covers restricted-isometry constants (exact: every support is bounded
-cheaply and only those that could set the constant are eigen-solved),
+cheaply and only those that could set the constant are eigen-solved;
+the supports of each block, with the flat Gram indices of their pairs,
+depend on (n_t, K) alone and are kept read-only for later calls of the
+same shape, 16 MiB at most, with nothing derived from the matrix),
 multipath-pursuit recovery guarantees, the chi-square support-recovery
 probability, large-system LMMSE asymptotics (SINR, conventional and
 post-recovery MSE, in forms that stay finite at any magnitude), complex
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +39,10 @@ SAMPLED_SUPPORT_COUNT = 10**4
 # whatever the number of supports; of each block only those whose bound can
 # beat the running delta are eigen-solved.
 RIP_BATCH = 4096
+# The exhaustive mode keeps the plans of its last RIP_PLAN_BLOCKS blocks, each
+# of at most RIP_PLAN_BYTES, for later calls of the same (n_t, K): 16 MiB at most.
+RIP_PLAN_BLOCKS = 16
+RIP_PLAN_BYTES = 1 << 20
 
 # Each linear detector, then its PSED refinement: the rows of the paper's complexity table.
 COMPLEXITY_DETECTORS = tuple(name for base in DETECTOR_KINDS for name in (base, PSED_NAMES[base]))
@@ -65,6 +73,8 @@ def support_block(n_t: int, K: int, start: int, stop: int) -> np.ndarray:
     has rank C(c_1, 1) + ... + C(c_K, K), so the ranks 0..C(n_t, K)-1 give
     every support once, in colexicographic order. Going down from i = K,
     c_i is the largest c with C(c, i) at most what is left of the rank.
+    The rows are a view of a C-contiguous (K, stop - start) array, so
+    `.T` gives index i of every support as one contiguous row.
     """
     total = math.comb(n_t, K)
     binom = np.ones(n_t, dtype=np.int64)  # C(c, 0) for c = 0..n_t-1
@@ -78,6 +88,34 @@ def support_block(n_t: int, K: int, start: int, stop: int) -> np.ndarray:
         columns[i] = np.searchsorted(tables[i], rank, side="right") - 1
         rank -= tables[i][columns[i]]
     return columns.T
+
+
+def _pair_indices(columns: np.ndarray, n_t: int) -> np.ndarray:
+    """Flat indices into an n_t x n_t matrix of every pair i < j of each support, (K(K-1)/2, supports).
+
+    Written row by row into one array: at K = 6 that takes a quarter of the
+    time of forming the whole (15, 4096) array from whole-array temporaries.
+    """
+    K = columns.shape[0]
+    pairs = np.empty((K * (K - 1) // 2, columns.shape[1]), dtype=np.intp)
+    for row, (i, j) in zip(pairs, combinations(range(K), 2)):
+        np.multiply(columns[i], n_t, out=row)
+        row += columns[j]
+    return pairs
+
+
+@lru_cache(maxsize=RIP_PLAN_BLOCKS)
+def _block_plan(n_t: int, K: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of ranks start..stop-1 as read-only columns (K, supports) and pair indices."""
+    columns = support_block(n_t, K, start, stop).T
+    pairs = _pair_indices(columns, n_t)
+    columns.flags.writeable = pairs.flags.writeable = False
+    return columns, pairs
+
+
+def _plan_bytes(K: int, supports: int) -> int:
+    """Bytes of the index arrays of a plan of that many supports."""
+    return supports * (K + K * (K - 1) // 2) * np.dtype(np.intp).itemsize
 
 
 def rip_constant(
@@ -97,11 +135,22 @@ def rip_constant(
     over the K x K principal submatrices M of G = H^H H. Every support is
     bounded first: by the Laguerre-Samuelson inequality the eigenvalues of M
     lie within mu +- sqrt((K-1)/K) s, where mu = tr M / K and s = ||M - mu I||_F,
-    so its distortion is at most |mu - 1| + sqrt((K-1)/K) s. Only the
-    supports whose bound exceeds the running delta minus a margin are
-    eigen-solved. The margin is far above the rounding of the bound and
-    the backward error of the eigen-solve, so delta is the exhaustive
-    maximum to the last bit.
+    so its distortion is at most |mu - 1| + sqrt((K-1)/K) s. As
+    sum_i (M_ii - mu)^2 = sum_{i<j} (M_ii - M_jj)^2 / K, s^2 is the sum over
+    the support's pairs i < j of w_ij = 2 |G_ij|^2 + (G_ii - G_jj)^2 / K,
+    one gather of the n_t x n_t table w per block. Only the supports whose
+    bound exceeds the running delta minus a margin are eigen-solved. The
+    margin is far above the rounding of the bound and the backward error of
+    the eigen-solve, so delta is the exhaustive maximum to the last bit.
+
+    The exhaustive mode takes its supports in blocks of RIP_BATCH ranks.
+    A block's plan, its supports as columns and the flat indices of their
+    pairs into w, depends on (n_t, K, block) alone and holds nothing
+    derived from H, so the last RIP_PLAN_BLOCKS plans are kept, read-only,
+    for later calls of the same shape. Only a plan of at most
+    RIP_PLAN_BYTES is kept, so they retain at most
+    RIP_PLAN_BLOCKS * RIP_PLAN_BYTES = 16 MiB; 512x20 at K = 4 keeps two,
+    0.39 MB.
     """
     H, _, _ = require_system(H)
     n_t = H.shape[1]
@@ -111,21 +160,16 @@ def rip_constant(
         gram = H.conj().T @ H
         if not np.isfinite(gram).all():
             raise DomainError("H is too large: its Gram matrix H^H H overflows")
-        twice_square = 2.0 * np.abs(gram.ravel()) ** 2  # 2 |G_ij|^2, read at i < j only
-    diagonal = gram.diagonal().real
+        diagonal = gram.diagonal().real
+        pair_weight = (2.0 * np.abs(gram) ** 2 + np.subtract.outer(diagonal, diagonal) ** 2 / K).ravel()  # w, read at i < j
     margin = 1e-9 * (1.0 + K * diagonal.max())
     spread = math.sqrt((K - 1) / K)
 
-    def distortion(supports: np.ndarray, delta: float) -> float:
-        """Largest of delta and the energy distortions of the supports (one per row)."""
-        columns = supports.T  # columns[i] holds index i of every support
+    def distortion(columns: np.ndarray, pairs: np.ndarray, delta: float) -> float:
+        """Largest of delta and the energy distortions of the supports (index i of each in columns[i])."""
         with np.errstate(over="ignore", invalid="ignore"):
-            d = diagonal[columns]
-            mu = d.sum(axis=0) / K
-            s2 = ((d - mu) ** 2).sum(axis=0)
-            for i, j in combinations(range(K), 2):
-                s2 += twice_square[columns[i] * n_t + columns[j]]
-            bound = np.abs(mu - 1.0) + spread * np.sqrt(s2)
+            mu = diagonal[columns].sum(axis=0) / K
+            bound = np.abs(mu - 1.0) + spread * np.sqrt(pair_weight[pairs].sum(axis=0))
         bound[np.isnan(bound)] = np.inf  # a NaN bound never prunes
         order = np.argsort(-bound)  # decreasing bound, so a chunk with nothing left to solve ends the block
         start, size = 0, 16  # eigen-solve 16 supports, then 32, 64, ...
@@ -134,7 +178,7 @@ def rip_constant(
             chunk = chunk[bound[chunk] > delta - margin]
             if not chunk.size:
                 break
-            S = supports[chunk]
+            S = columns.T[chunk]
             eig = np.linalg.eigvalsh(gram[S[:, :, None], S[:, None, :]])
             delta = max(delta, float(max(eig[:, -1].max() - 1.0, 1.0 - eig[:, 0].min())))
             start, size = start + size, 2 * size
@@ -149,13 +193,16 @@ def rip_constant(
                 f"{EXHAUSTIVE_SUBSET_BUDGET}; use method='sampled' for a lower bound"
             )
         for start in range(0, total, RIP_BATCH):
-            delta = distortion(support_block(n_t, K, start, min(start + RIP_BATCH, total)), delta)
+            stop = min(start + RIP_BATCH, total)
+            plan = _block_plan if _plan_bytes(K, stop - start) <= RIP_PLAN_BYTES else _block_plan.__wrapped__
+            delta = distortion(*plan(n_t, K, start, stop), delta)
         checked = total
     elif method == "sampled":
         gen = np.random.default_rng(rng)
         for start in range(0, sample_size, RIP_BATCH):
             count = min(RIP_BATCH, sample_size - start)
-            delta = distortion(np.array([gen.choice(n_t, size=K, replace=False) for _ in range(count)]), delta)
+            columns = np.array([gen.choice(n_t, size=K, replace=False) for _ in range(count)]).T
+            delta = distortion(columns, _pair_indices(columns, n_t), delta)
         checked = sample_size
     else:
         raise ConfigurationError(f"unknown rip method {method!r}; expected 'exhaustive' or 'sampled'")

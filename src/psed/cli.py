@@ -70,8 +70,9 @@ CONFIG_KEYS = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blank lines allowed."""
+    """Read `key = value` lines; '#' starts a comment, blank lines allowed, a key at most once."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # the line that gave each key
     try:
         with open(path, "r", encoding="utf-8") as fh:
             content = fh.read()
@@ -86,7 +87,9 @@ def parse_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
-        values[key] = value
+        if key in lines:
+            raise ConfigurationError(f"{path}:{lineno}: key {key!r} is given twice, at lines {lines[key]} and {lineno}")
+        values[key], lines[key] = value, lineno
     return values
 
 

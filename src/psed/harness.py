@@ -62,6 +62,11 @@ class SweepConfig:
         for det in self.detectors:
             if det not in SWEEP_DETECTORS:
                 raise ConfigurationError(f"unknown detector {det!r}; expected one of {SWEEP_DETECTORS}")
+        # A repeat would run its cells again and write duplicate CSV rows.
+        for name, values in (("detectors", self.detectors), ("snr_db_grid", self.snr_db_grid)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigurationError(f"{name} lists {value!r} twice")
         make_constellation(self.constellation)
         if ML in self.detectors and self.n_t > (cap := baselines.ml_max_dim(self.constellation)):
             raise ConfigurationError(

@@ -1,7 +1,11 @@
 """Tests for the analysis toolbox: RIP, guarantees, asymptotics, complexity."""
 
+import gc
 import itertools
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,7 +35,14 @@ from psed import (
     support_recovery_prob,
     trace_inverse_limit,
 )
-from psed.analysis import RIP_BATCH, inversion_multiplications, support_block
+from psed.analysis import (
+    RIP_BATCH,
+    RIP_PLAN_BLOCKS,
+    RIP_PLAN_BYTES,
+    _block_plan,
+    inversion_multiplications,
+    support_block,
+)
 from tests.conftest import orthonormal_columns, seeded_channel
 
 # frozen oracle values (high-precision evaluation of the defining formulas)
@@ -81,9 +92,12 @@ class TestRipConstant:
     def test_exhaustive_equals_brute_force_bit_for_bit(self, make, K):
         H = make()
         n_t = H.shape[1]
-        est = rip_constant(H, K)
-        assert est.delta == brute_force_delta(H, itertools.combinations(range(n_t), K))
-        assert est.subsets_checked == math.comb(n_t, K) and est.exhaustive
+        want = brute_force_delta(H, itertools.combinations(range(n_t), K))
+        _block_plan.cache_clear()
+        for _ in range(2):  # cold, building the block plans, then warm, reading them
+            est = rip_constant(H, K)
+            assert est.delta == want
+            assert est.subsets_checked == math.comb(n_t, K) and est.exhaustive
 
     @pytest.mark.parametrize("make, K", [pytest.param(m, k, id=label) for label, m, k in RIP_CASES])
     def test_sampled_equals_brute_force_on_its_draws(self, make, K):
@@ -193,6 +207,69 @@ class TestRipConstant:
             rip_constant(H, 7)
         with pytest.raises(ConfigurationError):
             rip_constant(H, 2, method="montecarlo")
+
+
+def _retained_by_rip(H, K) -> int:
+    """Bytes still allocated after one exhaustive call that starts from an empty plan cache."""
+    _block_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        rip_constant(H, K)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRipPlan:
+    """The per-block support plans the exhaustive mode keeps between calls."""
+
+    def test_interleaved_shapes_each_equal_brute_force(self):
+        cases = [
+            (seeded_channel(512, 20, seed=21), 4),
+            (seeded_channel(16, 20, seed=22), 4),  # shares the plans of 512x20 at K = 4
+            (seeded_channel(64, 32, seed=23), 4),
+            (seeded_channel(512, 20, seed=24), 3),
+        ]
+        want = [brute_force_delta(H, itertools.combinations(range(H.shape[1]), K)) for H, K in cases]
+        _block_plan.cache_clear()
+        for _ in range(2):
+            assert [rip_constant(H, K).delta for H, K in cases] == want
+
+    def test_plan_arrays_are_read_only(self):
+        columns, pairs = _block_plan(20, 4, 0, RIP_BATCH)
+        assert pairs.shape == (6, RIP_BATCH)
+        for array in (columns, columns.T, pairs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    def test_retained_memory_within_the_stated_bound(self):
+        # 24 columns at K = 6: 33 blocks of 0.66 MiB plans, more than the cache keeps
+        retained = _retained_by_rip(seeded_channel(64, 24, seed=25), 6)
+        assert 8 * 2**20 < retained <= RIP_PLAN_BLOCKS * RIP_PLAN_BYTES
+
+    def test_plan_above_the_byte_cap_is_not_kept(self):
+        # 22 columns at K = 18: both blocks' plans are 4-6 MiB, so neither is kept
+        assert _retained_by_rip(seeded_channel(64, 22, seed=26), 18) < RIP_PLAN_BYTES
+
+    def test_calls_from_two_threads_equal_serial_calls(self):
+        cases = [(seeded_channel(512, 20, seed=30 + i), 4 - i % 2) for i in range(8)]
+        cases += [(seeded_channel(64, 32, seed=40 + i), 4) for i in range(2)]
+
+        def solve(case):
+            H, K = case
+            return rip_constant(H, K).delta
+
+        serial = [solve(case) for case in cases]
+        _block_plan.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(solve, cases + cases, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial + serial
 
 
 class TestRecoveryConditions:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psed import SingularMatrixError, SweepConfig
+from psed import ConfigurationError, SingularMatrixError, SweepConfig
 from psed import cli
 from psed import harness as harness_module
 from psed.cli import build_sweep_config, main, parse_config_file
@@ -102,6 +102,16 @@ workers = 1
         path.write_text("n_R = 16\n")
         assert main(["sweep-ser", "--config", str(path)]) == 2
 
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("trials = 3\nn_r = 4\n# trials = 4\ntrials = 5\n")
+        with pytest.raises(ConfigurationError, match=r"twice.cfg:4: key 'trials' is given twice, at lines 1 and 4$"):
+            parse_config_file(str(path))
+        output = tmp_path / "out.csv"
+        assert main(["sweep-ser", "--config", str(path), "--trials", "2", "--output", str(output)]) == 2
+        assert "lines 1 and 4" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_missing_file_rejected(self):
         assert main(["sweep-ser", "--config", "/no/such/file.cfg"]) == 2
 
@@ -147,6 +157,17 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "detector,n_r,n_t,snr_db,trials,symbol_errors,ser,mse,seed"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "detectors, grid, repeat",
+        [("LMMSE,lmmse", "10,14", "detectors lists 'LMMSE' twice"), ("LMMSE", "10,10", "snr_db_grid lists 10.0 twice")],
+    )
+    def test_repeated_detector_or_snr_point_is_config_error(self, tmp_path, capsys, detectors, grid, repeat):
+        out = tmp_path / "ser.csv"
+        argv = ["sweep-ser", "--n_r", "4", "--n_t", "4", "--trials", "2", "--detectors", detectors]
+        assert main(argv + ["--snr_db_grid", grid, "--output", str(out)]) == 2
+        assert repeat in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_ser_deterministic(self, tmp_path):
         argv = [

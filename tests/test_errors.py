@@ -193,6 +193,20 @@ SETTINGS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "field, values, repeat",
+    [
+        ("detectors", ("LMMSE", "PSED-LMMSE", "LMMSE"), "'LMMSE'"),
+        ("snr_db_grid", (6.0, 10.0, 10), "10"),
+        ("snr_db_grid", (np.inf, 6.0, np.inf), "inf"),
+    ],
+)
+def test_sweep_config_refuses_a_repeat(field, values, repeat):
+    # a repeat would run its cells twice and write duplicate CSV rows
+    with pytest.raises(ConfigurationError, match=f"^{field} lists {repeat} twice"):
+        SweepConfig(**{field: values})
+
+
 def bad_settings():
     for entry, name, low, high, call in SETTINGS:
         bad = {"2.5": 2.5, "nan": np.nan, "True": True, "below": low - 1}
@@ -327,7 +341,7 @@ REAL_SETTINGS = [
         (0.0, -1.0),
     ),
     ("lmmse_on_support", "error_var", lambda v: lmmse_on_support(H0, Y0, 1.0, (1, 4), v, 0.1), (1.0,), (0.0,)),
-    ("SweepConfig", "snr_db_grid", lambda v: SweepConfig(snr_db_grid=(10.0, v)), (-30.0, 10, np.inf, 10**20), ()),
+    ("SweepConfig", "snr_db_grid", lambda v: SweepConfig(snr_db_grid=(0.0, v)), (-30.0, 10, np.inf, 10**20), ()),
     ("db_to_linear", "snr_db", db_to_linear, (-30.0, 10, -np.inf, np.inf), ()),
 ]
 
