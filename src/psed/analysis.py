@@ -34,12 +34,11 @@ from .linear_detectors import DETECTOR_KINDS, LMMSE
 from .pipeline import PSED_NAMES
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
-SAMPLED_SUPPORT_COUNT = 10**4
 # Supports generated and bounded at a time, so working memory is O(RIP_BATCH K^2)
 # whatever the number of supports; of each block only those whose bound can
 # beat the running delta are eigen-solved.
 RIP_BATCH = 4096
-# The exhaustive mode keeps the plans of its last RIP_PLAN_BLOCKS blocks, each
+# rip_constant keeps the plans of its last RIP_PLAN_BLOCKS blocks, each
 # of at most RIP_PLAN_BYTES, for later calls of the same (n_t, K): 16 MiB at most.
 RIP_PLAN_BLOCKS = 16
 RIP_PLAN_BYTES = 1 << 20
@@ -56,8 +55,9 @@ COMPLEXITY_DETECTORS = tuple(name for base in DETECTOR_KINDS for name in (base, 
 class RipEstimate:
     """Worst-case energy distortion over K-column submatrices.
 
-    In sampled mode `delta` is only a lower bound on the true constant
-    and `exhaustive` is False.
+    `delta` is the exact constant, so `exhaustive` is always True and
+    `subsets_checked` always C(n_t, K). Both fields stay because
+    `perfbench/checks.py` and acceptance criterion 4 assert them.
     """
 
     K: int
@@ -118,18 +118,11 @@ def _plan_bytes(K: int, supports: int) -> int:
     return supports * (K + K * (K - 1) // 2) * np.dtype(np.intp).itemsize
 
 
-def rip_constant(
-    H: np.ndarray,
-    K: int,
-    method: str = "exhaustive",
-    sample_size: int = SAMPLED_SUPPORT_COUNT,
-    rng: np.random.Generator | int | None = None,
-) -> RipEstimate:
-    """Restricted isometry constant of H at sparsity K.
+def rip_constant(H: np.ndarray, K: int) -> RipEstimate:
+    """Restricted isometry constant of H at sparsity K, over every size-K support.
 
-    Exhaustive mode checks every size-K support (refused above a 10^6
-    subset budget); sampled mode draws uniform supports and reports a
-    lower bound flagged non-exhaustive.
+    Every support is checked, so delta is the true constant; more than
+    EXHAUSTIVE_SUBSET_BUDGET = 10^6 supports are refused.
 
     delta is the largest energy distortion max(lambda_max - 1, 1 - lambda_min)
     over the K x K principal submatrices M of G = H^H H. Every support is
@@ -143,19 +136,17 @@ def rip_constant(
     margin is far above the rounding of the bound and the backward error of
     the eigen-solve, so delta is the exhaustive maximum to the last bit.
 
-    The exhaustive mode takes its supports in blocks of RIP_BATCH ranks.
-    A block's plan, its supports as columns and the flat indices of their
-    pairs into w, depends on (n_t, K, block) alone and holds nothing
-    derived from H, so the last RIP_PLAN_BLOCKS plans are kept, read-only,
-    for later calls of the same shape. Only a plan of at most
-    RIP_PLAN_BYTES is kept, so they retain at most
-    RIP_PLAN_BLOCKS * RIP_PLAN_BYTES = 16 MiB; 512x20 at K = 4 keeps two,
-    0.39 MB.
+    The supports are taken in blocks of RIP_BATCH ranks. A block's plan,
+    its supports as columns and the flat indices of their pairs into w,
+    depends on (n_t, K, block) alone and holds nothing derived from H, so
+    the last RIP_PLAN_BLOCKS plans are kept, read-only, for later calls of
+    the same shape. Only a plan of at most RIP_PLAN_BYTES is kept, so they
+    retain at most RIP_PLAN_BLOCKS * RIP_PLAN_BYTES = 16 MiB; 512x20 at
+    K = 4 keeps two, 0.39 MB.
     """
     H, _, _ = require_system(H)
     n_t = H.shape[1]
     K = require_count("K", K, 1, n_t)
-    sample_size = require_count("sample_size", sample_size)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes a bound inf, which never prunes
         gram = H.conj().T @ H
         if not np.isfinite(gram).all():
@@ -164,49 +155,30 @@ def rip_constant(
         pair_weight = (2.0 * np.abs(gram) ** 2 + np.subtract.outer(diagonal, diagonal) ** 2 / K).ravel()  # w, read at i < j
     margin = 1e-9 * (1.0 + K * diagonal.max())
     spread = math.sqrt((K - 1) / K)
-
-    def distortion(columns: np.ndarray, pairs: np.ndarray, delta: float) -> float:
-        """Largest of delta and the energy distortions of the supports (index i of each in columns[i])."""
+    total = math.comb(n_t, K)
+    if total > EXHAUSTIVE_SUBSET_BUDGET:
+        raise CapacityError(f"C({n_t}, {K}) = {total} supports exceed the budget of {EXHAUSTIVE_SUBSET_BUDGET}")
+    delta = 0.0
+    for start in range(0, total, RIP_BATCH):
+        stop = min(start + RIP_BATCH, total)
+        plan = _block_plan if _plan_bytes(K, stop - start) <= RIP_PLAN_BYTES else _block_plan.__wrapped__
+        columns, pairs = plan(n_t, K, start, stop)  # index i of each support in columns[i]
         with np.errstate(over="ignore", invalid="ignore"):
             mu = diagonal[columns].sum(axis=0) / K
             bound = np.abs(mu - 1.0) + spread * np.sqrt(pair_weight[pairs].sum(axis=0))
         bound[np.isnan(bound)] = np.inf  # a NaN bound never prunes
         order = np.argsort(-bound)  # decreasing bound, so a chunk with nothing left to solve ends the block
-        start, size = 0, 16  # eigen-solve 16 supports, then 32, 64, ...
-        while start < order.size:
-            chunk = order[start : start + size]
+        solved, size = 0, 16  # eigen-solve 16 supports, then 32, 64, ...
+        while solved < order.size:
+            chunk = order[solved : solved + size]
             chunk = chunk[bound[chunk] > delta - margin]
             if not chunk.size:
                 break
             S = columns.T[chunk]
             eig = np.linalg.eigvalsh(gram[S[:, :, None], S[:, None, :]])
             delta = max(delta, float(max(eig[:, -1].max() - 1.0, 1.0 - eig[:, 0].min())))
-            start, size = start + size, 2 * size
-        return delta
-
-    delta = 0.0
-    if method == "exhaustive":
-        total = math.comb(n_t, K)
-        if total > EXHAUSTIVE_SUBSET_BUDGET:
-            raise CapacityError(
-                f"C({n_t}, {K}) = {total} exceeds the exhaustive budget "
-                f"{EXHAUSTIVE_SUBSET_BUDGET}; use method='sampled' for a lower bound"
-            )
-        for start in range(0, total, RIP_BATCH):
-            stop = min(start + RIP_BATCH, total)
-            plan = _block_plan if _plan_bytes(K, stop - start) <= RIP_PLAN_BYTES else _block_plan.__wrapped__
-            delta = distortion(*plan(n_t, K, start, stop), delta)
-        checked = total
-    elif method == "sampled":
-        gen = np.random.default_rng(rng)
-        for start in range(0, sample_size, RIP_BATCH):
-            count = min(RIP_BATCH, sample_size - start)
-            columns = np.array([gen.choice(n_t, size=K, replace=False) for _ in range(count)]).T
-            delta = distortion(columns, _pair_indices(columns, n_t), delta)
-        checked = sample_size
-    else:
-        raise ConfigurationError(f"unknown rip method {method!r}; expected 'exhaustive' or 'sampled'")
-    return RipEstimate(K=K, delta=delta, subsets_checked=checked, exhaustive=method == "exhaustive")
+            solved, size = solved + size, 2 * size
+    return RipEstimate(K=K, delta=delta, subsets_checked=total, exhaustive=True)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def _cmd_rip(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"{args.matrix} does not hold one numeric array")
     else:
         H = model.generate_channel(args.n_r, args.n_t, model.rng_stream(args.seed, "channel"))
-    estimate = analysis.rip_constant(H, args.K, method=args.method, rng=model.rng_stream(args.seed, "rip"))
+    estimate = analysis.rip_constant(H, args.K)
     line = (
         f"K={estimate.K} delta={estimate.delta:.10g} "
         f"subsets_checked={estimate.subsets_checked} exhaustive={estimate.exhaustive}"
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     rip.add_argument("--n_t", type=int, default=20)
     rip.add_argument("--seed", type=int, default=0)
     rip.add_argument("--K", type=int, required=True)
-    rip.add_argument("--method", choices=("exhaustive", "sampled"), default="exhaustive")
     rip.add_argument("--output")
     return parser
 

@@ -1,12 +1,13 @@
 """Tests for the command-line front end and config handling."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psed import ConfigurationError, SingularMatrixError, SweepConfig
+from psed import ConfigurationError, SingularMatrixError, SweepConfig, generate_channel, rip_constant, rng_stream
 from psed import cli
 from psed import harness as harness_module
 from psed.cli import build_sweep_config, main, parse_config_file
@@ -71,6 +72,20 @@ class TestKeyTable:
         first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
         documented = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
         assert sorted(documented) == sorted(cli.CONFIG_KEYS)
+
+    def test_readme_commands_and_committed_configs_parse(self):
+        # a stale flag in a README example, or a stale key in a committed
+        # config, fails here; the configs are only built, never run
+        text = README.read_text(encoding="utf-8")
+        block = text[text.index("## CLI") :].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("psed ")]
+        assert commands
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
+        configs = sorted((README.parent / "configs").glob("*.cfg"))
+        assert configs
+        for path in configs:
+            assert isinstance(sweep_config(["--config", str(path)]), SweepConfig)
 
 
 class TestConfigFile:
@@ -327,16 +342,13 @@ class TestRipCommand:
         # C(64, 8) blows the exhaustive budget -> configuration error exit
         assert main(["rip", "--n_r", "32", "--n_t", "64", "--seed", "1", "--K", "8"]) == 2
 
-    def test_sampled_mode(self, capsys):
-        assert main(["rip", "--n_r", "16", "--n_t", "20", "--seed", "0", "--K", "2",
-                     "--method", "sampled"]) == 0
-        assert "exhaustive=False" in capsys.readouterr().out
-
-    def test_sampled_mode_follows_seed(self, capsys):
-        argv = ["rip", "--n_r", "32", "--n_t", "48", "--seed", "0", "--K", "6", "--method", "sampled"]
-        assert main(argv) == 0 and main(argv) == 0
+    def test_generated_channel_follows_seed(self, capsys):
+        argv = ["rip", "--n_r", "16", "--n_t", "20", "--K", "2"]
+        assert main([*argv, "--seed", "0"]) == 0 and main([*argv, "--seed", "1"]) == 0
         first, second = capsys.readouterr().out.splitlines()
-        assert first == second
+        want = rip_constant(generate_channel(16, 20, rng_stream(0, "channel")), 2).delta
+        assert first == f"K=2 delta={want:.10g} subsets_checked=190 exhaustive=True"
+        assert second != first and second.endswith(" subsets_checked=190 exhaustive=True")
 
 
 @pytest.mark.parametrize(

@@ -168,7 +168,6 @@ SETTINGS = [
     ("stream_correlation", "i", 0, 5, lambda v: stream_correlation(H0, 1.0, 0.1, v, 3)),
     ("stream_correlation", "j", 0, 5, lambda v: stream_correlation(H0, 1.0, 0.1, 3, v)),
     ("rip_constant", "K", 1, 6, lambda v: rip_constant(H0, v)),
-    ("rip_constant", "sample_size", 1, None, lambda v: rip_constant(H0, 2, "sampled", sample_size=v, rng=0)),
     ("complexity_count", "n_r", 1, None, lambda v: complexity_count("PSED-LMMSE", v, 8, K=1, L=1)),
     ("complexity_count", "n_t", 1, None, lambda v: complexity_count("PSED-LMMSE", 8, v, K=1, L=1)),
     ("complexity_count", "K", 1, 8, lambda v: complexity_count("PSED-LMMSE", 8, 8, K=v, L=1)),
