@@ -36,6 +36,7 @@ from psed import (
     trace_inverse_limit,
 )
 from psed.analysis import (
+    EXHAUSTIVE_SUBSET_BUDGET,
     RIP_BATCH,
     RIP_PLAN_BLOCKS,
     RIP_PLAN_BYTES,
@@ -99,6 +100,35 @@ class TestRipConstant:
             assert est.delta == want
             assert est.subsets_checked == math.comb(n_t, K) and est.exhaustive
 
+    @pytest.mark.parametrize("make, K", [pytest.param(m, k, id=label) for label, m, k in RIP_CASES])
+    def test_column_order_leaves_delta_unchanged(self, make, K):
+        # the constant is a maximum over every support, so it cannot depend on
+        # which block, or which place in the pruning order, a support falls in
+        H = make()
+        perm = np.random.default_rng(3).permutation(H.shape[1])
+        want = rip_constant(H, K).delta
+        assert rip_constant(H[:, perm], K).delta == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "H, K, want",
+        [
+            pytest.param(np.zeros((8, 6)), 3, 1.0, id="zero"),  # every eigenvalue 0
+            pytest.param(np.ones((4, 6)), 2, 7.0, id="all-ones"),  # eigenvalues 0 and 2 * 4
+            pytest.param(2.0 * np.eye(6), 3, 3.0, id="twice-identity"),  # every eigenvalue 4
+            pytest.param(0.5 * np.eye(6), 2, 0.75, id="half-identity"),  # every eigenvalue 1/4
+        ],
+    )
+    def test_closed_form_constants(self, H, K, want):
+        est = rip_constant(H, K)
+        assert est.delta == pytest.approx(want, rel=1e-12, abs=0)
+        assert est.subsets_checked == math.comb(6, K) and est.exhaustive
+
+    @pytest.mark.parametrize("keyword, value", [("method", "sampled"), ("sample_size", 100), ("rng", 0)])
+    def test_removed_keyword_refused(self, keyword, value):
+        # a caller still asking for a sampled lower bound fails loudly
+        with pytest.raises(TypeError, match=keyword):
+            rip_constant(seeded_channel(8, 6, seed=8), 2, **{keyword: value})
+
     @pytest.mark.parametrize("n_t, K", [(20, 1), (20, 2), (20, 4), (20, 10), (20, 19), (20, 20), (1, 1), (9, 9)])
     def test_support_block_yields_each_subset_once(self, n_t, K):
         total = math.comb(n_t, K)
@@ -147,6 +177,14 @@ class TestRipConstant:
         message = str(info.value)
         assert str(math.comb(50, 5)) in message and str(10**6) in message
         assert "sampled" not in message
+
+    def test_budget_admits_every_count_up_to_it(self):
+        # C(32, 6) = 906,192 supports is the largest count of K = 6 under 10^6
+        assert math.comb(32, 6) <= EXHAUSTIVE_SUBSET_BUDGET < math.comb(33, 6)
+        est = rip_constant(seeded_channel(8, 32, seed=5), 6)
+        assert est.subsets_checked == math.comb(32, 6) and est.exhaustive
+        with pytest.raises(CapacityError):
+            rip_constant(seeded_channel(8, 33, seed=5), 6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):

@@ -342,6 +342,18 @@ class TestRipCommand:
         # C(64, 8) blows the exhaustive budget -> configuration error exit
         assert main(["rip", "--n_r", "32", "--n_t", "64", "--seed", "1", "--K", "8"]) == 2
 
+    def test_generated_channel_line_and_csv(self, tmp_path, capsys):
+        out = tmp_path / "rip.csv"
+        assert main(["rip", "--n_r", "16", "--n_t", "20", "--seed", "0", "--K", "4", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == "K=4 delta=1.734167796 subsets_checked=4845 exhaustive=True\n"
+        assert out.read_text() == "K,delta,subsets_checked,exhaustive\n4,1.734167796,4845,True\n"
+
+    def test_method_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["rip", "--n_r", "16", "--n_t", "20", "--K", "2", "--method", "sampled"])
+        assert info.value.code == 2
+        assert "--method" in capsys.readouterr().err
+
     def test_generated_channel_follows_seed(self, capsys):
         argv = ["rip", "--n_r", "16", "--n_t", "20", "--K", "2"]
         assert main([*argv, "--seed", "0"]) == 0 and main([*argv, "--seed", "1"]) == 0
