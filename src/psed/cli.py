@@ -25,17 +25,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError)  # ArithmeticError covers SingularMatrixError
 
-# Sweep presets at desk scale; square256 is long-running and opt-in.
-PRESETS = {
-    "square32": {"n_r": 32, "n_t": 32, "trials": 10000, "snr_db_grid": "6,8,10,12,14,16,18,20"},
-    "square64": {"n_r": 64, "n_t": 64, "trials": 4000, "snr_db_grid": "6,8,10,12,14,16,18,20"},
-    "square128": {"n_r": 128, "n_t": 128, "trials": 1000, "snr_db_grid": "6,8,10,12,14,16,18,20"},
-    "square256": {"n_r": 256, "n_t": 256, "trials": 200, "snr_db_grid": "6,8,10,12,14,16,18,20"},
-    "tall48x32": {"n_r": 48, "n_t": 32, "trials": 10000, "snr_db_grid": "0,2,4,6,8,10,12,14"},
-    "tall64x32": {"n_r": 64, "n_t": 32, "trials": 10000, "snr_db_grid": "0,2,4,6,8,10,12,14"},
-    "tall128x32": {"n_r": 128, "n_t": 32, "trials": 10000, "snr_db_grid": "0,2,4,6,8,10,12,14"},
-}
-
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
@@ -94,14 +83,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
-    """Merge defaults, preset, config file, and CLI flags (in that order)."""
-    values: dict[str, str] = {}
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ConfigurationError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-        values.update({k: str(v) for k, v in PRESETS[args.preset].items()})
-    if args.config:
-        values.update(parse_config_file(args.config))
+    """Merge defaults, config file, and CLI flags (in that order)."""
+    values = parse_config_file(args.config) if args.config else {}
     values.update({key: flag for key in CONFIG_KEYS if (flag := getattr(args, key)) is not None})
 
     fields: dict[str, object] = {}
@@ -119,7 +102,6 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--preset", help=f"named parameter preset: {', '.join(sorted(PRESETS))}")
     for key, (_, _, help_text) in CONFIG_KEYS.items():
         parser.add_argument(f"--{key}", dest=key, help=help_text)
 

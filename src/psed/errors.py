@@ -88,9 +88,9 @@ def require_real(name: str, value, interval: str, error: type[PsedError] = Domai
 def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bool = False) -> tuple:
     """Check the arguments of y = sqrt(P) H s + v that are given; return H, y and s as complex128.
 
-    H is 2-D, y one observation (n_r,) of it and s one symbol vector (n_t,);
-    with `stacked`, y may be a stack (B, n_r) and noise_var a 1-D array of B
-    variances. A shape raises DimensionError, and a NaN or an infinity
+    H is 2-D with at least one row and one column, y one observation (n_r,)
+    of it and s one symbol vector (n_t,); with `stacked`, y may be a stack
+    (B, n_r) and noise_var a 1-D array of B variances. A shape raises DimensionError, and a NaN or an infinity
     DomainError naming the argument. A scalar P and noise_var go through
     `require_real`: P in (0, inf) and noise_var in [0, inf), so P <= 0 or
     noise_var < 0 raises ConfigurationError.
@@ -98,6 +98,8 @@ def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bo
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2:
         raise DimensionError(f"H must be a 2-D matrix, got shape {H.shape}")
+    if not H.size:
+        raise DimensionError(f"H must have at least one row and one column, got shape {H.shape}")
     if y is not None:
         y = np.asarray(y, dtype=np.complex128)
         if y.ndim not in ((1, 2) if stacked else (1,)) or y.shape[-1] != H.shape[0]:

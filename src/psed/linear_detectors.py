@@ -19,13 +19,14 @@ class WeightMatrix:
     """Linear detector weights W; the estimate is s_tilde = W^H y.
 
     With `gram` None, `M` is W itself, as for MF weights or
-    `WeightMatrix(kind, W)`. LMMSE weights from `weight_matrix` hold M = H,
-    their own Gram `gram` = H^H H and `rho` = noise_var / P instead: `detect`
-    solves G s_tilde = H^H y with G = gram + rho I (one right-hand side), and
-    W = H G^-1 is formed, with n_r right-hand sides, each time `.W` is read.
-    Neither G nor W is kept: `psed_detect` hands the same `gram` to the MMP
-    search, so one H^H H serves a call, and holding many weights costs no
-    more memory than holding their channels and Grams.
+    `WeightMatrix(kind, W)`. LMMSE weights from `weight_matrix` hold
+    M = H / sqrt(P), the Gram `gram` = H^H H of H itself and
+    `rho` = noise_var / P instead: `detect` solves G s_tilde = M^H y with
+    G = gram + rho I (one right-hand side), and W = M G^-1 is formed, with
+    n_r right-hand sides, each time `.W` is read. Both kinds carry the
+    1/sqrt(P), so s_tilde estimates s at unit scale for any P.
+    Neither G nor W is kept, and `psed_detect` hands the same `gram` to the
+    MMP search, so one H^H H serves a call.
     """
 
     kind: str
@@ -49,7 +50,11 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
     """Build the weight matrix for one of the conventional linear detectors.
 
     MF:    W = H / sqrt(P), held as M = W
-    LMMSE: W = H (H^H H + (noise_var / P) I)^-1, held as M = H, gram = H^H H and rho = noise_var / P
+    LMMSE: W = H (H^H H + (noise_var / P) I)^-1 / sqrt(P), held as M = H / sqrt(P),
+           gram = H^H H and rho = noise_var / P
+
+    The 1/sqrt(P) undoes the sqrt(P) of y = sqrt(P) H s + v, so `detect`
+    returns an estimate of s itself.
 
     LMMSE weights form their own `gram`, which `psed_detect` shares with the
     MMP search. One whose G = gram + rho I has condition number above 1e12
@@ -62,7 +67,8 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
         gram = H.conj().T @ H
         h2 = gram.trace().real  # ||H||_F^2
         rho = noise_var / power
-        weights = WeightMatrix(kind, H, gram, rho)
+        M = H if power == 1 else H / np.sqrt(power)  # at P = 1 the division would only copy H
+        weights = WeightMatrix(kind, M, gram, rho)
         # cond(G) <= (||H||_F^2 + rho) / rho, so at any usual noise level the
         # bound alone clears G; only near-zero noise needs the SVD.
         if h2 + rho >= _COND_LIMIT * rho and not np.linalg.cond(weights.G) <= _COND_LIMIT:
@@ -75,7 +81,10 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
 
 
 def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
-    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = H^H y for LMMSE weights."""
+    """Apply the weights: s_tilde = W^H y, solved as G s_tilde = M^H y for LMMSE weights.
+
+    Weights from `weight_matrix` carry 1/sqrt(P), so s_tilde estimates s at unit scale.
+    """
     M, y, _ = require_system(weights.M, y)
     s_tilde = M.conj().T @ y
     return s_tilde if weights.gram is None else np.linalg.solve(weights.G, s_tilde)

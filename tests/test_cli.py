@@ -1,5 +1,6 @@
 """Tests for the command-line front end and config handling."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -14,6 +15,7 @@ from psed.cli import build_sweep_config, main, parse_config_file
 from tests.conftest import orthonormal_columns
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIGS = README.parent / "configs"
 
 # A valid, non-default text value for every sweep key.
 KEY_VALUES = {
@@ -82,7 +84,7 @@ class TestKeyTable:
         assert commands
         for argv in commands:
             cli.build_parser().parse_args(argv)
-        configs = sorted((README.parent / "configs").glob("*.cfg"))
+        configs = sorted(CONFIGS.glob("*.cfg"))
         assert configs
         for path in configs:
             assert isinstance(sweep_config(["--config", str(path)]), SweepConfig)
@@ -140,17 +142,39 @@ workers = 1
         assert config.trials == 3
         assert config.n_r == 16
 
-    def test_preset_applies_and_flags_override(self):
-        args = cli.build_parser().parse_args(
-            ["sweep-ser", "--preset", "square32", "--trials", "2"]
-        )
-        config = build_sweep_config(args)
+    def test_flag_overrides_named_shape_file(self):
+        config = sweep_config(["--config", str(CONFIGS / "square32.cfg"), "--trials", "2"])
         assert (config.n_r, config.n_t) == (32, 32)
         assert config.trials == 2
         assert config.psed.bound_sparsity(config.n_t) == 4
 
-    def test_unknown_preset_rejected(self):
-        assert main(["sweep-ser", "--preset", "square1024"]) == 2
+    def test_preset_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep-ser", "--preset", "square32"])
+        assert info.value.code == 2
+        assert "--preset" in capsys.readouterr().err
+
+
+SQUARE_GRID = (6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0)
+TALL_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
+
+
+@pytest.mark.parametrize(
+    "name, n_r, n_t, trials, grid",
+    [
+        ("square32", 32, 32, 10000, SQUARE_GRID),
+        ("square64", 64, 64, 4000, SQUARE_GRID),
+        ("square128", 128, 128, 1000, SQUARE_GRID),
+        ("square256", 256, 256, 200, SQUARE_GRID),
+        ("tall48x32", 48, 32, 10000, TALL_GRID),
+        ("tall64x32", 64, 32, 10000, TALL_GRID),
+        ("tall128x32", 128, 32, 10000, TALL_GRID),
+    ],
+)
+def test_named_shape_file_sets_its_shape_only(name, n_r, n_t, trials, grid):
+    # a shape file sets n_r, n_t, trials and snr_db_grid; every other field keeps its default
+    want = dataclasses.replace(SweepConfig(), n_r=n_r, n_t=n_t, trials=trials, snr_db_grid=grid)
+    assert sweep_config(["--config", str(CONFIGS / f"{name}.cfg")]) == want
 
 
 class TestSweepCommands:

@@ -107,6 +107,8 @@ BAD_INPUTS = [
     ("H", "nan", _with(np.nan), DomainError),
     ("H", "inf", _with(np.inf), DomainError),
     ("H", "1-D", lambda H: H[:, 0], DimensionError),
+    ("H", "no rows", lambda H: H[:0], DimensionError),
+    ("H", "no columns", lambda H: H[:, :0], DimensionError),
     ("y", "all-nan", lambda y: np.full_like(y, np.nan), DomainError),
     ("y", "short", lambda y: y[:-1], DimensionError),
     ("s", "nan", _with(np.nan), DomainError),

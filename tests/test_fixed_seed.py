@@ -1,8 +1,10 @@
 """Sweeps at a fixed master seed against CSVs committed under tests/data.
 
 Each file was written by `psed <argv> --output <file>` with the argv listed
-below. Integer columns must match exactly and floats to 1e-9 relative, so
-the comparison survives a BLAS build that rounds differently.
+below; the square32 file was written as `--preset square32 --trials 40`,
+which `--config configs/square32.cfg --trials 40` builds field for field.
+Integer columns must match exactly and floats to 1e-9 relative, so the
+comparison survives a BLAS build that rounds differently.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ from psed import read_csv
 from psed.cli import main
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @pytest.mark.parametrize(
@@ -21,7 +24,7 @@ DATA = Path(__file__).parent / "data"
     [
         pytest.param(
             "square32_seed1_40.csv",
-            ["sweep-ser", "--preset", "square32", "--trials", "40"],
+            ["sweep-ser", "--config", str(CONFIGS / "square32.cfg"), "--trials", "40"],
             id="square32",
         ),
         pytest.param(

@@ -87,6 +87,17 @@ class TestDetect:
         expected = np.linalg.inv(gram) @ (H.conj().T @ inst.y)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("power", [4.0, 100.0])
+    def test_noiseless_lmmse_estimates_symbols_at_any_power(self, qpsk, power):
+        # y = sqrt(P) H s: the weights' 1/sqrt(P) gives back s, not sqrt(P) s
+        H = seeded_channel(16, 8, seed=11)
+        s = draw_symbols(qpsk, 8, rng_stream(11, "symbols"))
+        y = np.sqrt(power) * (H @ s)
+        weights = weight_matrix(H, "LMMSE", power, 0.0)
+        np.testing.assert_allclose(detect(weights, y), s, atol=1e-10)
+        np.testing.assert_allclose(weights.W.conj().T @ y, s, atol=1e-10)
+        np.testing.assert_array_equal(weights.gram, H.conj().T @ H)
+
     @pytest.mark.parametrize("shape", [(8, 1), ()], ids=["column", "scalar"])
     @pytest.mark.parametrize("kind", ["MF", "LMMSE"])
     def test_observation_that_is_not_one_vector_rejected(self, kind, shape):
@@ -108,10 +119,10 @@ class TestDetect:
 
 
 def push_through(H, kind, power, noise_var):
-    """The weights written out independently: H / sqrt(P), or (H H^H + noise_var/P I)^-1 H."""
+    """The weights written out independently: H / sqrt(P), or (H H^H + noise_var/P I)^-1 H / sqrt(P)."""
     if kind == "MF":
         return H / np.sqrt(power)
-    return np.linalg.solve(H @ H.conj().T + (noise_var / power) * np.eye(H.shape[0]), H)
+    return np.linalg.solve(H @ H.conj().T + (noise_var / power) * np.eye(H.shape[0]), H) / np.sqrt(power)
 
 
 class TestGramHeldWeights:
@@ -133,6 +144,7 @@ class TestGramHeldWeights:
         H = seeded_channel(32, 32, seed=9)
         y = complex_noise(32, seed=9)
         weights = weight_matrix(H, "LMMSE", 1.0, 0.1)
+        assert weights.M is H  # at P = 1 the weights hold the channel itself, not a scaled copy
         np.testing.assert_array_equal(weights.gram, H.conj().T @ H)
         before = detect(weights, y)
         shared = mmp(H, y, 1.0, K=4, L=2, gram=weights.gram)

@@ -140,6 +140,27 @@ class TestPsedDetect:
         with pytest.raises(DomainError, match="^y "):
             psed_detect(y, H, 1.0, 0.1, qpsk, PsedConfig(tol=0.0))
 
+    def test_channel_without_rows_raises(self, qpsk):
+        # an empty H would otherwise slice every stream to point 0, unflagged
+        with pytest.raises(DimensionError, match=r"^H .*\(0, 8\)"):
+            psed_detect(np.zeros(0), np.zeros((0, 8)), 1.0, 0.1, qpsk, PsedConfig())
+
+    @pytest.mark.parametrize("estimator", ["LS", "LMMSE"])
+    @pytest.mark.parametrize("base", ["MF", "LMMSE"])
+    def test_power_scales_out(self, qpsk, base, estimator):
+        # (sqrt(P) y, P, P noise_var) is the P = 1 system written at power P
+        H = seeded_channel(32, 32, seed=14)
+        s = draw_symbols(qpsk, 32, rng_stream(14, "symbols"))
+        y = transmit(H, s, 1.0, 0.1, rng_stream(14, "noise")).y
+        config = PsedConfig(base_detector=base, estimator=estimator, tol=0.0)
+        unit = psed_detect(y, H, 1.0, 0.1, qpsk, config)
+        scaled = psed_detect(2.0 * y, H, 4.0, 0.4, qpsk, config)
+        assert symbol_errors(unit.s_hat.values, s) > 0  # the search has errors to fix
+        np.testing.assert_allclose(scaled.s_tilde, unit.s_tilde, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(scaled.s_hat.values, unit.s_hat.values)
+        np.testing.assert_array_equal(scaled.s_final.values, unit.s_final.values)
+        np.testing.assert_allclose(scaled.recovery.e_hat, unit.recovery.e_hat, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("shape", [(8, 1), ()], ids=["column", "scalar"])
     def test_observation_that_is_not_one_vector_raises(self, qpsk, shape):
         H = seeded_channel(8, 8, seed=12)
