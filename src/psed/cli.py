@@ -219,11 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ser = sub.add_parser("sweep-ser", help="symbol-error-rate sweep over the SNR grid")
     _add_sweep_flags(ser)
+    ser.set_defaults(run=lambda args: _cmd_sweep(args, mse_curves=False))
 
     mse = sub.add_parser("sweep-mse", help="BPSK MSE sweep with closed-form columns")
     _add_sweep_flags(mse)
+    mse.set_defaults(run=lambda args: _cmd_sweep(args, mse_curves=True))
 
     comp = sub.add_parser("complexity", help="complex multiplication counts per detector")
+    comp.set_defaults(run=_cmd_complexity)
     comp.add_argument("--n_r", type=int, required=True)
     comp.add_argument("--n_t", type=int, required=True)
     comp.add_argument("--K", type=int)
@@ -234,11 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--output")
 
     ana = sub.add_parser("analyze", help="closed-form SINR/SER/MSE curves over an SNR grid")
+    ana.set_defaults(run=_cmd_analyze)
     ana.add_argument("--snr_db_grid", default="6,8,10,12,14,16,18,20,22,24")
     ana.add_argument("--beta", type=float, default=1.0)
     ana.add_argument("--output")
 
     rip = sub.add_parser("rip", help="restricted isometry constant of a matrix")
+    rip.set_defaults(run=_cmd_rip)
     rip.add_argument("--matrix", help=".npy file holding the matrix; omit to generate a channel")
     rip.add_argument("--n_r", type=int, default=16)
     rip.add_argument("--n_t", type=int, default=20)
@@ -252,17 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep-ser":
-            return _cmd_sweep(args, mse_curves=False)
-        if args.command == "sweep-mse":
-            return _cmd_sweep(args, mse_curves=True)
-        if args.command == "complexity":
-            return _cmd_complexity(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "rip":
-            return _cmd_rip(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return args.run(args)
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -89,9 +89,9 @@ def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bo
     """Check the arguments of y = sqrt(P) H s + v that are given; return H, y and s as complex128.
 
     H is 2-D with at least one row and one column, y one observation (n_r,)
-    of it and s one symbol vector (n_t,); with `stacked`, y may be a stack
-    (B, n_r) and noise_var a 1-D array of B variances. A shape raises DimensionError, and a NaN or an infinity
-    DomainError naming the argument. A scalar P and noise_var go through
+    of it, or with `stacked` a stack (B, n_r), and s one symbol vector
+    (n_t,). A shape raises DimensionError, and a NaN or an infinity
+    DomainError naming the argument. P and noise_var go through
     `require_real`: P in (0, inf) and noise_var in [0, inf), so P <= 0 or
     noise_var < 0 raises ConfigurationError.
     """
@@ -114,17 +114,6 @@ def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bo
             raise DomainError(f"{name} must be finite")
     if power is not None:
         require_real("power", power, "(0, inf)", ConfigurationError)
-    if noise_var is None:
-        return H, y, s
-    if not (stacked and np.ndim(noise_var)):
+    if noise_var is not None:
         require_real("noise_var", noise_var, "[0, inf)", ConfigurationError)
-        return H, y, s
-    noise_var = np.asarray(noise_var)
-    if noise_var.dtype.kind not in "iuf":
-        raise DomainError(f"noise_var must be a real number, got {noise_var!r}")
-    if noise_var.ndim > 1:
-        raise DimensionError(f"noise_var must be a scalar or 1-D, got shape {noise_var.shape}")
-    require_finite(noise_var=noise_var)
-    if (noise_var < 0).any():
-        raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
     return H, y, s

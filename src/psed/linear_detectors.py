@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_count, require_system
+from .errors import _COND_LIMIT, ConfigurationError, DimensionError, SingularMatrixError, require_count
+from .errors import require_finite, require_system
 
 MF = "MF"
 LMMSE = "LMMSE"
@@ -19,7 +20,7 @@ class WeightMatrix:
     """Linear detector weights W; the estimate is s_tilde = W^H y.
 
     With `gram` None, `M` is W itself, as for MF weights or
-    `WeightMatrix(kind, W)`. LMMSE weights from `weight_matrix` hold
+    `WeightMatrix(W)`. LMMSE weights from `weight_matrix` hold
     M = H / sqrt(P), the Gram `gram` = H^H H of H itself and
     `rho` = noise_var / P instead: `detect` solves G s_tilde = M^H y with
     G = gram + rho I (one right-hand side), and W = M G^-1 is formed, with
@@ -29,7 +30,6 @@ class WeightMatrix:
     MMP search, so one H^H H serves a call.
     """
 
-    kind: str
     M: np.ndarray = field(repr=False)
     gram: np.ndarray | None = field(default=None, repr=False)
     rho: float = 0.0
@@ -62,13 +62,13 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
     """
     H, _, _ = require_system(H, power=power, noise_var=noise_var)
     if kind == MF:
-        return WeightMatrix(kind, H / np.sqrt(power))
+        return WeightMatrix(H / np.sqrt(power))
     if kind == LMMSE:
         gram = H.conj().T @ H
         h2 = gram.trace().real  # ||H||_F^2
         rho = noise_var / power
         M = H if power == 1 else H / np.sqrt(power)  # at P = 1 the division would only copy H
-        weights = WeightMatrix(kind, M, gram, rho)
+        weights = WeightMatrix(M, gram, rho)
         # cond(G) <= (||H||_F^2 + rho) / rho, so at any usual noise level the
         # bound alone clears G; only near-zero noise needs the SVD.
         if h2 + rho >= _COND_LIMIT * rho and not np.linalg.cond(weights.G) <= _COND_LIMIT:
@@ -84,8 +84,16 @@ def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
     """Apply the weights: s_tilde = W^H y, solved as G s_tilde = M^H y for LMMSE weights.
 
     Weights from `weight_matrix` carry 1/sqrt(P), so s_tilde estimates s at unit scale.
+    M must be 2-D and non-empty, y must be (n_r,) and both must be finite;
+    each message names `weights` or `y`.
     """
-    M, y, _ = require_system(weights.M, y)
+    M = np.asarray(weights.M, dtype=np.complex128)
+    if M.ndim != 2 or not M.size:
+        raise DimensionError(f"weights must be a non-empty 2-D matrix, got shape {M.shape}")
+    y = np.asarray(y, dtype=np.complex128)
+    if y.shape != M.shape[:1]:
+        raise DimensionError(f"y of shape {y.shape} does not fit weights of shape {M.shape}: expected (n_r,)")
+    require_finite(weights=M, y=y)
     s_tilde = M.conj().T @ y
     return s_tilde if weights.gram is None else np.linalg.solve(weights.G, s_tilde)
 

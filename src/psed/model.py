@@ -117,19 +117,21 @@ def transmit(
 ) -> SystemInstance:
     """Form ``y = sqrt(P) H s + v`` with ``v ~ CN(0, noise_var I)``.
 
-    noise_var is one variance or a 1-D array of B of them. The unit noise is
-    drawn once and scaled to each variance, so ``v`` and ``y`` are (n_r,) or
-    (B, n_r), and row b equals a call with ``noise_var[b]`` alone on the same
-    stream.
+    noise_var is one variance or a sequence of B of them, each checked as a
+    scalar noise_var is. The unit noise is drawn once and scaled to each
+    variance, so ``v`` and ``y`` are (n_r,) or (B, n_r), and row b equals a
+    call with ``noise_var[b]`` alone on the same stream.
     """
-    H, _, s = require_system(H, s=s, power=power, noise_var=noise_var, stacked=True)
-    noise_var = np.asarray(noise_var, dtype=np.float64)
+    H, _, s = require_system(H, s=s, power=power)
+    if np.ndim(noise_var):
+        noise_var = np.array([require_real("noise_var", nv, "[0, inf)", ConfigurationError) for nv in noise_var])
+    else:
+        noise_var = require_real("noise_var", noise_var, "[0, inf)", ConfigurationError)
     rng = np.random.default_rng(rng)
     n_r = H.shape[0]
     unit = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
-    v = np.sqrt(noise_var / 2.0)[..., None] * unit
+    v = np.sqrt(np.asarray(noise_var) / 2.0)[..., None] * unit
     y = np.sqrt(power) * (H @ s) + v
-    noise_var = noise_var if noise_var.ndim else float(noise_var)
     return SystemInstance(H=H, s=s, v=v, y=y, power=float(power), noise_var=noise_var)
 
 

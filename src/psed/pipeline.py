@@ -103,12 +103,11 @@ def psed_detect(
     """Run the full detect / slice / transform / recover / correct pipeline.
 
     A singular recovery subproblem is not fatal: the output falls back to
-    the sliced step-2 estimate and the trial is flagged.
+    the sliced step-2 estimate and the trial is flagged. Each step checks
+    the inputs it takes, so the pipeline adds no check of its own.
     """
-    H, y, _ = require_system(H, y, power=power, noise_var=noise_var)
-    k = config.bound_sparsity(H.shape[1])
-
     weights = linear_detectors.weight_matrix(H, config.base_detector, power, noise_var)
+    k = config.bound_sparsity(weights.M.shape[1])
     s_tilde = linear_detectors.detect(weights, y)
     s_hat = slicer.hard_slice(s_tilde, constellation)
     y_prime = sparse_transform(y, H, s_hat.values, power)
@@ -132,10 +131,9 @@ def psed_detect(
         recovery_failed = True
         recovery = RecoveryResult(
             support=SupportSet(),
-            e_hat=np.zeros(H.shape[1], dtype=np.complex128),
+            e_hat=np.zeros_like(s_tilde),
             residual_norm=float(np.linalg.norm(y_prime)),
             paths_explored=0,
-            iterations=0,
         )
 
     s_doublehat = s_hat.values + recovery.e_hat

@@ -64,13 +64,6 @@ class SupportSet:
             raise ConfigurationError(f"support contains duplicate indices: {indices}")
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def _of_distinct(cls, indices: tuple[int, ...]) -> SupportSet:
-        """The support of indices already known to be distinct non-negative ints, not checked again."""
-        support = object.__new__(cls)
-        object.__setattr__(support, "indices", indices)
-        return support
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -94,14 +87,14 @@ class RecoveryResult:
 
     e_hat is a full-length vector, zero off the support; residual_norm is
     the l2 norm of y' - sqrt(P) H_S e_hat_S; paths_explored counts every
-    candidate path that received an estimate during the search.
+    candidate path that received an estimate during the search. Each
+    search layer adds one index, so len(support) is the number of layers run.
     """
 
     support: SupportSet
     e_hat: np.ndarray = field(repr=False)
     residual_norm: float
     paths_explored: int
-    iterations: int
 
 
 def _columns(support, n_t: int) -> list[int]:
@@ -287,7 +280,6 @@ def mmp(
     score = r2
 
     paths_explored = 0
-    iterations = 0
     while True:
         low = score.min()
         if low <= exact_below:
@@ -295,9 +287,9 @@ def mmp(
             near = np.flatnonzero(score <= exact_below)
             score[near] = _residuals(H, y_prime, power, idx[near], x[near]) ** 2
             low = score.min()
-        if iterations == K or low <= tol2:
-            break
         S, k = idx.shape
+        if k == K or low <= tol2:
+            break
         rows = np.arange(S)
         on = (rows[:, None], idx)
         corr, spare = _room(corr, S), _room(spare, S)
@@ -372,15 +364,13 @@ def mmp(
         # The survivors keep (parent, d, conj(u)): R^-1 grows only if another layer runs.
         idx = np.concatenate([idx[parent], j[:, None]], axis=1)
         x, r2 = x_child, r2_child
-        iterations += 1
 
     best = int(np.argmin(score))
     e_hat = np.zeros(n_t, dtype=np.complex128)
     e_hat[idx[best]] = x[best]
     return RecoveryResult(
-        support=SupportSet._of_distinct(tuple(idx[best].tolist())),
+        support=SupportSet(idx[best].tolist()),
         e_hat=e_hat,
         residual_norm=float(_residuals(H, y_prime, power, idx[best : best + 1], x[best : best + 1])[0]),
         paths_explored=paths_explored,
-        iterations=iterations,
     )

@@ -11,6 +11,7 @@ import pytest
 from psed import ConfigurationError, SingularMatrixError, SweepConfig, generate_channel, rip_constant, rng_stream
 from psed import cli
 from psed import harness as harness_module
+from psed import pipeline as pipeline_module
 from psed.cli import build_sweep_config, main, parse_config_file
 from tests.conftest import orthonormal_columns
 
@@ -131,6 +132,14 @@ workers = 1
 
     def test_missing_file_rejected(self):
         assert main(["sweep-ser", "--config", "/no/such/file.cfg"]) == 2
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bare.cfg"
+        path.write_text("n_r = 16\ntrials 3\n")
+        with pytest.raises(ConfigurationError, match=r"bare.cfg:2: expected 'key = value', got 'trials 3'$"):
+            parse_config_file(str(path))
+        assert main(["sweep-ser", "--config", str(path)]) == 2
+        assert "expected 'key = value'" in capsys.readouterr().err
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -258,6 +267,27 @@ class TestSweepCommands:
         log = tmp_path / "z.csv.flagged.log"
         assert log.exists()
         assert "synthetic failure" in log.read_text()
+
+    def test_flagged_trial_is_logged_and_sweep_succeeds(self, tmp_path, capsys, monkeypatch):
+        # a singular recovery flags its trial; the sweep still completes and writes its CSV
+        calls = []
+        real_mmp = pipeline_module.sparse_recovery.mmp
+
+        def singular_on_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:  # trial 1 at the first SNR point: calls go trial by trial, SNR by SNR
+                raise SingularMatrixError("forced")
+            return real_mmp(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module.sparse_recovery, "mmp", singular_on_third_call)
+        out = tmp_path / "f.csv"
+        argv = ["sweep-ser", "--n_r", "8", "--n_t", "8", "--detectors", "PSED-LMMSE", "--snr_db_grid", "10,14"]
+        assert main([*argv, "--trials", "3", "--psed.K", "2", "--output", str(out)]) == 0
+        assert len(calls) == 6
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["PSED-LMMSE", "8", "8", "10"], ["PSED-LMMSE", "8", "8", "14"]]
+        assert (tmp_path / "f.csv.flagged.log").read_text() == "PSED-LMMSE,10,1\n"
+        assert "1 flagged trials logged to" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,6 +13,7 @@ from psed import (
     PsedError,
     SupportSet,
     SweepConfig,
+    WeightMatrix,
     asymptotic_sinr,
     complexity_count,
     db_to_linear,
@@ -148,6 +149,33 @@ def test_bad_input_raises_named_error(entry, arg, bad, error):
     args = dict(VALID, **{arg: bad(VALID[arg])})
     with pytest.raises(error, match=f"^{arg} "):
         ENTRY_POINTS[entry][1](args)
+
+
+# Caller-built weights `detect` must refuse: (label, weights, y, error it must raise, start of its message).
+# A message about the weights names the weights, and one about y names y.
+BAD_WEIGHTS = [
+    ("nan", WeightMatrix(_with(np.nan)(WEIGHTS.W)), VALID["y"], DomainError, "weights must be finite"),
+    ("inf", WeightMatrix(_with(np.inf)(WEIGHTS.W)), VALID["y"], DomainError, "weights must be finite"),
+    (
+        "nan-gram-held",
+        WeightMatrix(_with(np.nan)(WEIGHTS.M), WEIGHTS.gram, WEIGHTS.rho),
+        VALID["y"],
+        DomainError,
+        "weights must be finite",
+    ),
+    ("misfit", WeightMatrix(np.ones((8, 4))), np.ones(7), DimensionError, r"y of shape \(7,\) does not fit weights "),
+    ("no rows", WeightMatrix(np.ones((0, 4))), np.ones(0), DimensionError, "weights must be a non-empty 2-D"),
+    ("no columns", WeightMatrix(np.ones((8, 0))), np.ones(8), DimensionError, "weights must be a non-empty 2-D"),
+    ("1-D", WeightMatrix(np.ones(8)), np.ones(8), DimensionError, "weights must be a non-empty 2-D"),
+]
+
+
+@pytest.mark.parametrize(
+    "weights, y, error, message", [pytest.param(*case[1:], id=case[0]) for case in BAD_WEIGHTS]
+)
+def test_detect_refuses_bad_weights_naming_them(weights, y, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        detect(weights, y)
 
 
 # Every count and index a caller sets: (entry point, parameter, low, high, call

@@ -142,6 +142,10 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(tiny_config(snr_db_grid=()))
 
+    def test_empty_detector_list_rejected(self):
+        with pytest.raises(ConfigurationError, match="detector list must be non-empty"):
+            tiny_config(detectors=())
+
     def test_flagged_trials_surface_in_result(self, monkeypatch):
         def boom(*args, **kwargs):
             raise SingularMatrixError("forced")
@@ -280,6 +284,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text(f"{self.CORE}\nMF,8,8,10,5,3,0.075,0.1,1\n\n{row}\n")
         with pytest.raises(PsedError, match=f"bad.csv:4: {message}"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_file_raises(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(PsedError, match="empty.csv is empty$"):
             read_csv(path)
 
     def test_missing_file_raises(self, tmp_path):

@@ -23,7 +23,7 @@ from tests.conftest import complex_noise, seeded_channel
 
 def zf_weights(H, power):
     """Zero-forcing weights H (H^H H)^-1 / sqrt(P), the noiseless limit of LMMSE."""
-    return WeightMatrix("ZF", H @ np.linalg.inv(H.conj().T @ H) / np.sqrt(power))
+    return WeightMatrix(H @ np.linalg.inv(H.conj().T @ H) / np.sqrt(power))
 
 
 class TestWeightMatrix:
@@ -67,7 +67,7 @@ class TestDetect:
     def test_identity_weights(self):
         y = np.arange(6) + 1j * np.arange(6)
         W = np.eye(6, dtype=np.complex128)
-        weights = WeightMatrix("MF", W)
+        weights = WeightMatrix(W)
         assert weights.W is W  # held as given
         np.testing.assert_array_equal(detect(weights, y), y)
 
@@ -109,7 +109,7 @@ class TestDetect:
     @given(seed=st.integers(0, 10_000), a_re=st.floats(-3, 3), a_im=st.floats(-3, 3))
     def test_linearity(self, seed, a_re, a_im):
         rng = np.random.default_rng(seed)
-        W = WeightMatrix("MF", rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
+        W = WeightMatrix(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
         y1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         y2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         a = a_re + 1j * a_im

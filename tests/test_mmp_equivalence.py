@@ -59,7 +59,7 @@ def assert_same_search(H, y, K, **kwargs):
     support, e_hat, explored, layers = reference_mmp(H, y, 1.0, K, **kwargs)
     assert got.support.indices == support
     assert got.paths_explored == explored
-    assert got.iterations == layers
+    assert len(got.support) == layers
     np.testing.assert_allclose(got.e_hat, e_hat, rtol=0, atol=1e-10)
 
 
@@ -98,7 +98,7 @@ def test_matches_reference_on_noiseless_early_stop(n, K):
         H = seeded_channel(n, n, seed=6000 + seed)
         y = H @ random_sparse(n, 2, seed=6000 + seed)
         assert_same_search(H, y, K, L=2)
-        assert mmp(H, y, 1.0, K=K, L=2).iterations == 2
+        assert len(mmp(H, y, 1.0, K=K, L=2).support) == 2
 
 
 @pytest.mark.parametrize("f", [0.8, 1.0])
@@ -124,7 +124,7 @@ def test_matches_reference_on_noise_level_early_stop(n, K, seeds, f):
         estimator = "LS" if seed % 2 == 0 else "LMMSE"
         kwargs = dict(L=2, tol=tol, estimator=estimator, error_var=ERROR_VAR, noise_var=NOISE_VAR)
         assert_same_search(H, y, K, **kwargs)
-        stopped += mmp(H, y, 1.0, K=K, **kwargs).iterations < K
+        stopped += len(mmp(H, y, 1.0, K=K, **kwargs).support) < K
     assert stopped > 0
 
 
@@ -143,14 +143,14 @@ class TestLayerEdges:
             H = seeded_channel(16, 16, seed=8000 + seed)
             y = H @ random_sparse(16, 2, seed=8000 + seed) + complex_noise(16, seed=8000 + seed, scale=0.2)
             assert_same_search(H, y, 1, **self.search(estimator, L=L, tol=0.0))
-            assert mmp(H, y, 1.0, K=1, **self.search(estimator, L=L)).iterations == 1
+            assert len(mmp(H, y, 1.0, K=1, **self.search(estimator, L=L)).support) == 1
 
     def test_zero_observation_stops_before_first_layer(self, estimator):
         H = seeded_channel(16, 16, seed=8100)
         y = np.zeros(16, dtype=np.complex128)
         assert_same_search(H, y, 3, **self.search(estimator, L=2))
         got = mmp(H, y, 1.0, K=3, **self.search(estimator, L=2))
-        assert (got.support.indices, got.iterations, got.paths_explored) == ((), 0, 0)
+        assert (got.support.indices, len(got.support), got.paths_explored) == ((), 0, 0)
         assert not got.e_hat.any() and got.residual_norm == 0.0
 
     def test_tol_fires_after_first_layer(self, estimator):
@@ -159,7 +159,7 @@ class TestLayerEdges:
             y = 3.0 * H[:, seed] + complex_noise(16, seed=8200 + seed, scale=0.01)
             kwargs = self.search(estimator, L=2, tol=0.5 * np.linalg.norm(y))
             assert_same_search(H, y, 4, **kwargs)
-            assert mmp(H, y, 1.0, K=4, **kwargs).iterations == 1
+            assert len(mmp(H, y, 1.0, K=4, **kwargs).support) == 1
 
     def test_full_support_clamps_candidate_width(self, estimator):
         # K = n_t: the last layers have fewer free columns than L.
@@ -168,7 +168,7 @@ class TestLayerEdges:
             y = H @ random_sparse(5, 3, seed=8300 + seed) + complex_noise(6, seed=8300 + seed, scale=0.2)
             assert_same_search(H, y, 5, **self.search(estimator, L=3, tol=0.0))
             got = mmp(H, y, 1.0, K=5, **self.search(estimator, L=3, tol=0.0))
-            assert got.iterations == 5 and sorted(got.support.indices) == list(range(5))
+            assert len(got.support) == 5 and sorted(got.support.indices) == list(range(5))
 
     def test_zero_column_is_singular_on_first_layer(self, estimator):
         # L = n_t makes every column a first-layer candidate; with rho below the

@@ -70,7 +70,6 @@ class TestPsedDetect:
         out = psed_detect(inst.y, H, 1.0, 0.0, qpsk, PsedConfig(sparsity=4))
         np.testing.assert_array_equal(out.s_final.values, s)
         assert len(out.recovery.support) == 0
-        assert out.recovery.iterations == 0
 
     def test_planted_two_errors_corrected(self, qpsk):
         # steps 2..5 composed from the public operations, no noise
