@@ -6,7 +6,9 @@ through every (detector, SNR) cell, so every cell sees the same instance
 at a given trial index and results are bit-identical for a fixed master
 seed no matter how trials are scheduled across workers. A linear detector
 swept next to its PSED refinement takes its row from the refinement's
-first stage instead of recomputing it.
+first stage instead of recomputing it. Trials run in fixed blocks of
+BLOCK_TRIALS: each trial of a block runs on its own, then K-best searches
+every channel of the block in one call, and a worker pool maps blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ PSED_LMMSE = PSED_NAMES[LMMSE]
 KBEST = "KBEST"
 ML = "ML"
 SWEEP_DETECTORS = (MF, LMMSE, PSED_MF, PSED_LMMSE, KBEST, ML)
+BLOCK_TRIALS = 8  # trials per block; small, since K-best holds the survivors of every channel of a block at once
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class SweepConfig:
         for snr_db in self.snr_db_grid:  # +inf is a noiseless cell
             require_real("snr_db_grid", snr_db, "(-inf, inf]", ConfigurationError)
         if not self.detectors:
-            raise ConfigurationError("detector list must be non-empty")
+            raise ConfigurationError("detectors must be non-empty")
         for det in self.detectors:
             if det not in SWEEP_DETECTORS:
                 raise ConfigurationError(f"unknown detector {det!r}; expected one of {SWEEP_DETECTORS}")
@@ -118,15 +121,16 @@ def _score(s, decided, estimate, flagged: bool = False) -> tuple[int, float, boo
     return int(np.count_nonzero(decided != s)), float(np.sum(np.abs(s - estimate) ** 2)) / s.size, flagged
 
 
-def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]:
-    """One instance through every (detector, SNR) cell; (errors, squared error, flagged) per row.
+def _run_trial(config: SweepConfig, trial: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """One instance through every (detector, SNR) cell but K-best's.
 
     H, s and the unit noise are drawn once, and `transmit` scales the noise
     to every SNR of the grid, so each cell sees the observation it would see
     in a sweep of its own. When PSED-X and X are both swept, X's row is read
     off PSED-X's first stage: the same weights, filter output and hard slice.
-    K-best and ML search the whole stack of observations in one call each.
-    Rows come detector-major, in the order of config.detectors.
+    ML searches the whole stack of observations in one call. Returns H, s,
+    the observations (one row per SNR) and, by detector, one (errors,
+    squared error, flagged) row per SNR.
     """
     constellation = make_constellation(config.constellation)
     seed = config.master_seed
@@ -143,17 +147,36 @@ def _run_trial(config: SweepConfig, trial: int) -> list[tuple[int, float, bool]]
             if base in config.detectors:
                 outcomes[base] = [_score(s, o.s_hat.values, o.s_tilde) for o in outs]
     for detector in config.detectors:
-        if detector in (KBEST, ML):
-            if detector == KBEST:
-                decided = baselines.kbest_detect(ys, H, POWER, constellation, config.kbest_m)
-            else:
-                decided = baselines.ml_detect(ys, H, POWER, constellation)
-            outcomes[detector] = [_score(s, d, d) for d in decided]
-        elif detector not in outcomes:  # a linear detector swept without its PSED refinement
+        if detector == ML:
+            outcomes[detector] = [_score(s, d, d) for d in baselines.ml_detect(ys, H, POWER, constellation)]
+        elif detector not in outcomes and detector != KBEST:  # a linear detector swept without its PSED refinement
             weights = (linear_detectors.weight_matrix(H, detector, POWER, nv) for nv in noise_vars)
             estimates = [linear_detectors.detect(w, y) for w, y in zip(weights, ys)]
             outcomes[detector] = [_score(s, hard_slice(e, constellation).values, e) for e in estimates]
-    return [row for detector in config.detectors for row in outcomes[detector]]
+    return H, s, ys, outcomes
+
+
+def _run_block(config: SweepConfig, first: int) -> list[list[tuple[int, float, bool]]]:
+    """Trials [first, first + BLOCK_TRIALS), cut at config.trials; (errors, squared error, flagged) per row.
+
+    Each trial runs through `_run_trial`, then K-best searches the stacked
+    observations of every channel of the block in one call; each of its
+    rows is bitwise the row of a call on that trial alone. Rows come per
+    trial, detector-major in the order of config.detectors.
+    """
+    outcomes, instances = [], []
+    for trial in range(first, min(first + BLOCK_TRIALS, config.trials)):
+        H, s, ys, cells = _run_trial(config, trial)
+        outcomes.append(cells)
+        if KBEST in config.detectors:
+            instances.append((H, s, ys))
+    if instances:
+        Hs, ss, yss = zip(*instances)
+        constellation = make_constellation(config.constellation)
+        decided = baselines.kbest_detect(np.stack(yss), np.stack(Hs), POWER, constellation, config.kbest_m)
+        for cells, s, d in zip(outcomes, ss, decided):
+            cells[KBEST] = [_score(s, x, x) for x in d]
+    return [[row for detector in config.detectors for row in cells[detector]] for cells in outcomes]
 
 
 def _aggregate(outcomes) -> tuple[int, float, list[int]]:
@@ -165,20 +188,21 @@ def _aggregate(outcomes) -> tuple[int, float, list[int]]:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """SER/MSE sweep over the (detector, SNR) grid.
 
-    With workers > 1 one process pool runs chunks of trials, each trial
-    through every cell, and returns them in trial order.
+    Trials run in blocks of BLOCK_TRIALS (`_run_block`). With workers > 1
+    one process pool runs chunks of blocks and returns them in trial order.
     """
-    trials = range(config.trials)
+    firsts = range(0, config.trials, BLOCK_TRIALS)
     if config.workers == 1:
-        per_trial = [_run_trial(config, t) for t in trials]
+        blocks = [_run_block(config, first) for first in firsts]
     else:
         # Imported here: the pool machinery costs every `import psed` ~20 ms, and only a pool needs it.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        chunk = max(1, math.ceil(config.trials / (config.workers * 4)))
+        chunk = max(1, math.ceil(len(firsts) / (config.workers * 4)))
         with ProcessPoolExecutor(max_workers=config.workers, mp_context=get_context("spawn")) as pool:
-            per_trial = list(pool.map(_run_trial, [config] * config.trials, trials, chunksize=chunk))
+            blocks = list(pool.map(_run_block, [config] * len(firsts), firsts, chunksize=chunk))
+    per_trial = [trial for block in blocks for trial in block]
 
     cells = [(detector, float(snr_db)) for detector in config.detectors for snr_db in config.snr_db_grid]
     rows = []

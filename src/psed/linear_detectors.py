@@ -84,8 +84,9 @@ def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
     """Apply the weights: s_tilde = W^H y, solved as G s_tilde = M^H y for LMMSE weights.
 
     Weights from `weight_matrix` carry 1/sqrt(P), so s_tilde estimates s at unit scale.
-    M must be 2-D and non-empty, y must be (n_r,) and both must be finite;
-    each message names `weights` or `y`.
+    M must be 2-D and non-empty, y must be (n_r,), a `gram` must be
+    (n_t, n_t) for M's n_t columns, and all must be finite; each message
+    names `weights`, `y` or `gram`.
     """
     M = np.asarray(weights.M, dtype=np.complex128)
     if M.ndim != 2 or not M.size:
@@ -95,7 +96,13 @@ def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"y of shape {y.shape} does not fit weights of shape {M.shape}: expected (n_r,)")
     require_finite(weights=M, y=y)
     s_tilde = M.conj().T @ y
-    return s_tilde if weights.gram is None else np.linalg.solve(weights.G, s_tilde)
+    if weights.gram is None:
+        return s_tilde
+    gram = np.asarray(weights.gram)
+    if gram.shape != (M.shape[1],) * 2:
+        raise DimensionError(f"gram of shape {gram.shape} does not fit weights of shape {M.shape}: expected (n_t, n_t)")
+    require_finite(gram=gram)
+    return np.linalg.solve(weights.G, s_tilde)
 
 
 def residual_stream_variance(

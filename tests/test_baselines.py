@@ -111,6 +111,31 @@ def test_observation_that_does_not_fit_H_rejected(qpsk, detector, y):
             kbest_detect(y, H, 1.0, qpsk, m=4)
 
 
+def bad_channel_stacks():
+    """(y, H, error, start of its message) for a stack of three 6x4 channels, two observations each."""
+    H = np.stack([seeded_channel(6, 4, seed=30 + t) for t in range(3)])
+    y = np.ones((3, 2, 6), dtype=np.complex128)
+    H_nan = H.copy()
+    H_nan[1, 2, 1] = np.nan
+    yield pytest.param(y, H_nan, DomainError, "H must be finite", id="nan-channel")
+    y_inf = y.copy()
+    y_inf[2, 1, 3] = np.inf
+    yield pytest.param(y_inf, H, DomainError, "y must be finite", id="inf-observation")
+    yield pytest.param(y[:, :, :5], H, DimensionError, r"y of shape \(2, 5\) does not fit H", id="short-observations")
+    yield pytest.param(y[:2], H, DimensionError, r"y of shape \(2, 2, 6\) does not fit a stack", id="fewer-stacks")
+    yield pytest.param(y[:, 0], H, DimensionError, r"y of shape \(3, 6\) does not fit a stack", id="two-d-y")
+    yield pytest.param(y[:0], H[:0], DimensionError, "y of shape", id="no-channels")
+    H_wide = np.stack([seeded_channel(4, 6, seed=33)] * 3)
+    yield pytest.param(y[:, :, :4], H_wide, ConfigurationError, "K-best needs n_r >= n_t", id="wide")
+
+
+@pytest.mark.parametrize("y, H, error, message", bad_channel_stacks())
+def test_kbest_refuses_a_bad_channel_stack(qpsk, y, H, error, message):
+    # Each channel of a stack goes through the checks of a call of its own.
+    with pytest.raises(error, match=f"^{message}"):
+        kbest_detect(y, H, 1.0, qpsk, m=4)
+
+
 @pytest.mark.parametrize("stack", [1, 2, 4])
 @pytest.mark.parametrize(
     "kind, n_r, n_t",

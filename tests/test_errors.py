@@ -152,7 +152,7 @@ def test_bad_input_raises_named_error(entry, arg, bad, error):
 
 
 # Caller-built weights `detect` must refuse: (label, weights, y, error it must raise, start of its message).
-# A message about the weights names the weights, and one about y names y.
+# A message about the weights names the weights, one about their Gram names gram, and one about y names y.
 BAD_WEIGHTS = [
     ("nan", WeightMatrix(_with(np.nan)(WEIGHTS.W)), VALID["y"], DomainError, "weights must be finite"),
     ("inf", WeightMatrix(_with(np.inf)(WEIGHTS.W)), VALID["y"], DomainError, "weights must be finite"),
@@ -163,6 +163,28 @@ BAD_WEIGHTS = [
         DomainError,
         "weights must be finite",
     ),
+    (
+        "nan-gram",
+        WeightMatrix(WEIGHTS.M, _with(np.nan)(WEIGHTS.gram), WEIGHTS.rho),
+        VALID["y"],
+        DomainError,
+        "gram must be finite",
+    ),
+    (
+        "inf-gram",
+        WeightMatrix(WEIGHTS.M, _with(np.inf)(WEIGHTS.gram), WEIGHTS.rho),
+        VALID["y"],
+        DomainError,
+        "gram must be finite",
+    ),
+    (
+        "misfit-gram",
+        WeightMatrix(WEIGHTS.M, WEIGHTS.gram[:4, :4], WEIGHTS.rho),
+        VALID["y"],
+        DimensionError,
+        r"gram of shape \(4, 4\) does not fit weights of shape \(8, 6\)",
+    ),
+    ("1-D-gram", WeightMatrix(WEIGHTS.M, np.ones(6), WEIGHTS.rho), VALID["y"], DimensionError, "gram of shape"),
     ("misfit", WeightMatrix(np.ones((8, 4))), np.ones(7), DimensionError, r"y of shape \(7,\) does not fit weights "),
     ("no rows", WeightMatrix(np.ones((0, 4))), np.ones(0), DimensionError, "weights must be a non-empty 2-D"),
     ("no columns", WeightMatrix(np.ones((8, 0))), np.ones(8), DimensionError, "weights must be a non-empty 2-D"),

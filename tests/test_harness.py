@@ -75,12 +75,48 @@ class TestRunSweep:
         assert serial.rows == parallel.rows
 
     def test_workers_do_not_change_csv_across_uneven_trial_chunks(self, tmp_path):
-        # 13 trials over 2 workers: chunks of 2 with a last chunk of 1
-        cfg = tiny_config(detectors=FIVE_DETECTORS, trials=13, kbest_m=4)
+        # Two full blocks and a short one over 2 workers, one block per chunk.
+        assert harness_module.BLOCK_TRIALS > 3
+        trials = 2 * harness_module.BLOCK_TRIALS + 3
+        cfg = tiny_config(detectors=FIVE_DETECTORS, trials=trials, kbest_m=4)
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         emit_csv(run_sweep(cfg), serial)
         emit_csv(run_sweep(dataclasses.replace(cfg, workers=2)), parallel)
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_does_not_change_rows(self, monkeypatch, block):
+        # K-best searches a block's channels together; any split into blocks gives the same rows.
+        cfg = tiny_config(detectors=FIVE_DETECTORS + ("ML",), trials=11, kbest_m=4)
+        want = run_sweep(cfg)
+        monkeypatch.setattr(harness_module, "BLOCK_TRIALS", block)
+        assert run_sweep(cfg) == want
+
+    def test_kbest_runs_once_per_block(self, monkeypatch):
+        calls = []
+        kbest_detect = harness_module.baselines.kbest_detect
+
+        def counted(y, H, *args):
+            calls.append(np.shape(H)[0])
+            return kbest_detect(y, H, *args)
+
+        monkeypatch.setattr(harness_module.baselines, "kbest_detect", counted)
+        run_sweep(tiny_config(detectors=FIVE_DETECTORS, trials=harness_module.BLOCK_TRIALS + 2, kbest_m=4))
+        assert calls == [harness_module.BLOCK_TRIALS, 2]
+
+    def test_every_trial_goes_through_run_trial(self, monkeypatch):
+        # The CLI tests replace _run_trial to show that no trial ran; that
+        # holds only while the sweep runs every trial through it.
+        seen = []
+        run_trial = harness_module._run_trial
+
+        def recorded(config, trial):
+            seen.append(trial)
+            return run_trial(config, trial)
+
+        monkeypatch.setattr(harness_module, "_run_trial", recorded)
+        run_sweep(tiny_config(detectors=FIVE_DETECTORS, trials=harness_module.BLOCK_TRIALS + 2, kbest_m=4))
+        assert seen == list(range(harness_module.BLOCK_TRIALS + 2))
 
     def test_import_loads_no_process_pool(self):
         # Only a workers > 1 sweep needs the pool; a fresh `import psed` must not pay for it.
@@ -143,7 +179,7 @@ class TestRunSweep:
             run_sweep(tiny_config(snr_db_grid=()))
 
     def test_empty_detector_list_rejected(self):
-        with pytest.raises(ConfigurationError, match="detector list must be non-empty"):
+        with pytest.raises(ConfigurationError, match="^detectors must be non-empty$"):
             tiny_config(detectors=())
 
     def test_flagged_trials_surface_in_result(self, monkeypatch):

@@ -148,3 +148,24 @@ def test_stacked_exact_ties_keep_the_lowest_flat_indices(qpsk, m, stack):
     assert_stack_rows_equal_single_calls(ys, H, 1.0, qpsk, m)
     symbols, _ = _kbest_search(np.stack(ys), H, 1.0, qpsk, m)
     np.testing.assert_array_equal(symbols, np.full((stack, n), qpsk.points[0]))
+
+
+@pytest.mark.parametrize("stack", [1, 4])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("n_r, n_t", [(32, 32), (48, 32), (64, 64)])
+def test_channel_stack_equals_per_channel_calls(qpsk, n_r, n_t, channels, stack):
+    # H (T, n_r, n_t) with y (T, B, n_r): channel t's rows are bitwise those of a call on H[t] alone.
+    for k in range(4):
+        instances = [
+            observations(qpsk, n_r, n_t, 8000 + channels * k + t, [6.0 + 2 * ((k + t + b) % 8) for b in range(stack)])
+            for t in range(channels)
+        ]
+        ys = np.stack([np.stack(obs) for obs, _ in instances])
+        Hs = np.stack([H for _, H in instances])
+        symbols, metrics = _kbest_search(ys, Hs, 1.0, qpsk, 15)
+        assert symbols.shape == (channels, stack, n_t)
+        assert metrics.shape == (channels, stack)
+        for t, (obs, H) in enumerate(instances):
+            want_symbols, want_metrics = _kbest_search(np.stack(obs), H, 1.0, qpsk, 15)
+            np.testing.assert_array_equal(symbols[t], want_symbols)
+            np.testing.assert_array_equal(metrics[t], want_metrics)
