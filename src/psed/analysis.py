@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     FloatOverflowError,
     require_count,
+    require_gram,
     require_real,
     require_system,
 )
@@ -125,8 +126,9 @@ def rip_constant(H: np.ndarray, K: int) -> RipEstimate:
     EXHAUSTIVE_SUBSET_BUDGET = 10^6 supports are refused.
 
     delta is the largest energy distortion max(lambda_max - 1, 1 - lambda_min)
-    over the K x K principal submatrices M of G = H^H H. Every support is
-    bounded first: by the Laguerre-Samuelson inequality the eigenvalues of M
+    over the K x K principal submatrices M of G = H^H H from `require_gram`,
+    so an H whose Gram overflows raises DomainError. Every support is bounded
+    first: by the Laguerre-Samuelson inequality the eigenvalues of M
     lie within mu +- sqrt((K-1)/K) s, where mu = tr M / K and s = ||M - mu I||_F,
     so its distortion is at most |mu - 1| + sqrt((K-1)/K) s. As
     sum_i (M_ii - mu)^2 = sum_{i<j} (M_ii - M_jj)^2 / K, s^2 is the sum over
@@ -147,10 +149,8 @@ def rip_constant(H: np.ndarray, K: int) -> RipEstimate:
     H, _, _ = require_system(H)
     n_t = H.shape[1]
     K = require_count("K", K, 1, n_t)
+    gram = require_gram(H)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes a bound inf, which never prunes
-        gram = H.conj().T @ H
-        if not np.isfinite(gram).all():
-            raise DomainError("H is too large: its Gram matrix H^H H overflows")
         diagonal = gram.diagonal().real
         pair_weight = (2.0 * np.abs(gram) ** 2 + np.subtract.outer(diagonal, diagonal) ** 2 / K).ravel()  # w, read at i < j
     margin = 1e-9 * (1.0 + K * diagonal.max())
@@ -226,23 +226,18 @@ def mmp_support_threshold(
     sqrt_l, sqrt_k, sqrt_lk = math.sqrt(L), math.sqrt(K), math.sqrt(L * K)
 
     den_gamma = sqrt_lk - (sqrt_lk + K) * delta_lk
-    if not den_gamma > 0:
-        raise DomainError(
-            f"gamma denominator sqrt(LK) - (sqrt(LK)+K) delta_lk = {den_gamma:g} is not positive"
-        )
     den_mu = sqrt_l - (2.0 * sqrt_l + sqrt_k) * delta_lk
-    if not den_mu > 0:
-        raise DomainError(
-            f"mu denominator sqrt(L) - (2 sqrt(L)+sqrt(K)) delta_lk = {den_mu:g} is not positive"
-        )
     try:
         den_lam = (1.0 - delta_k) ** 3 - (1.0 + delta_k) * delta_2k**2
     except OverflowError:  # only a delta_k or delta_2k far above 1 overflows, and either makes it negative
         den_lam = -math.inf
-    if not den_lam > 0:
-        raise DomainError(
-            f"lambda denominator (1-delta_k)^3 - (1+delta_k) delta_2k^2 = {den_lam:g} is not positive"
-        )
+    for den, formula in (
+        (den_gamma, "gamma denominator sqrt(LK) - (sqrt(LK)+K) delta_lk"),
+        (den_mu, "mu denominator sqrt(L) - (2 sqrt(L)+sqrt(K)) delta_lk"),
+        (den_lam, "lambda denominator (1-delta_k)^3 - (1+delta_k) delta_2k^2"),
+    ):
+        if not den > 0:
+            raise DomainError(f"{formula} = {den:g} is not positive")
 
     gamma = math.sqrt(1.0 + delta_lk) * (sqrt_l + sqrt_k) / den_gamma
     mu = math.sqrt(1.0 + delta_lk) * (1.0 - delta_lk) * (sqrt_l + sqrt_k) / den_mu
@@ -420,21 +415,14 @@ def complexity_count(
         K, L = require_count("K", K, 1, n_t), require_count("L", L)
 
     lmmse_weights = detector in (LMMSE, PSED_NAMES[LMMSE])
+    layers = range(1, K + 1) if is_psed else ()  # the recovery rows sum over the search layers, none without PSED
     rows = {
         "filter_weight_generation": 2 * n_r * n_t**2 + inversion_multiplications(n_t) if lmmse_weights else 0,
         "filtering": n_r * n_t,
         "sparse_transform": n_r * n_t if is_psed else 0,
-        "sparse_recovery_matching": (
-            sum(n_r * (n_t - k + 1) for k in range(1, K + 1)) if is_psed else 0
-        ),
-        "sparse_recovery_projection": (
-            sum((2 * n_r * k**2 + inversion_multiplications(k) + k * n_r) * L for k in range(1, K + 1))
-            if is_psed
-            else 0
-        ),
-        "sparse_recovery_residual": (
-            sum(k * n_r * L for k in range(1, K + 1)) if is_psed else 0
-        ),
+        "sparse_recovery_matching": sum(n_r * (n_t - k + 1) for k in layers),
+        "sparse_recovery_projection": sum((2 * n_r * k**2 + inversion_multiplications(k) + k * n_r) * L for k in layers),
+        "sparse_recovery_residual": sum(k * n_r * L for k in layers),
     }
     return ComplexityReport(
         detector=detector,

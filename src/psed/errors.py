@@ -1,5 +1,5 @@
-"""Exception types and input checks: `require_system` for H, y, s, P and noise_var, `require_count` for counts
-and `require_real` for reals."""
+"""Exception types and input checks: `require_system` for H, y, s, P and noise_var, `require_gram` for H^H H,
+`require_count` for counts and `require_real` for reals."""
 
 import functools
 import math
@@ -40,9 +40,9 @@ _COND_LIMIT = 1e12
 
 
 def require_finite(**arrays) -> None:
-    """Raise DomainError naming the first argument that holds a NaN or an infinity."""
+    """Raise DomainError naming the first argument that holds a NaN or an infinity; skip those that are None."""
     for name, value in arrays.items():
-        if not np.isfinite(value).all():
+        if value is not None and not np.isfinite(value).all():
             raise DomainError(f"{name} must be finite")
 
 
@@ -109,11 +109,17 @@ def require_system(H, y=None, *, s=None, power=None, noise_var=None, stacked: bo
         s = np.asarray(s, dtype=np.complex128)
         if s.shape != H.shape[1:]:
             raise DimensionError(f"s of shape {s.shape} does not fit H of shape {H.shape}: expected (n_t,)")
-    for name, a in (("H", H), ("y", y), ("s", s)):
-        if a is not None and not np.isfinite(a).all():
-            raise DomainError(f"{name} must be finite")
+    require_finite(H=H, y=y, s=s)
     if power is not None:
         require_real("power", power, "(0, inf)", ConfigurationError)
     if noise_var is not None:
         require_real("noise_var", noise_var, "[0, inf)", ConfigurationError)
     return H, y, s
+
+
+def require_gram(H: np.ndarray) -> np.ndarray:
+    """H^H H of a checked H; DomainError naming H unless 2 ||H||_F^2, from `np.vdot` (which warns of no
+    overflow), is finite: the trace ||H||_F^2 bounds every entry, and the 2 covers the product's rounding."""
+    if not math.isfinite(2.0 * float(np.vdot(H, H).real)):
+        raise DomainError("H is too large: its Gram matrix H^H H overflows")
+    return H.conj().T @ H

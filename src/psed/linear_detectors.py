@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import _COND_LIMIT, ConfigurationError, DimensionError, SingularMatrixError, require_count
-from .errors import require_finite, require_system
+from .errors import require_finite, require_gram, require_system
 
 MF = "MF"
 LMMSE = "LMMSE"
@@ -19,20 +19,19 @@ DETECTOR_KINDS = (MF, LMMSE)
 class WeightMatrix:
     """Linear detector weights W; the estimate is s_tilde = W^H y.
 
-    With `gram` None, `M` is W itself, as for MF weights or
-    `WeightMatrix(W)`. LMMSE weights from `weight_matrix` hold
-    M = H / sqrt(P), the Gram `gram` = H^H H of H itself and
-    `rho` = noise_var / P instead: `detect` solves G s_tilde = M^H y with
-    G = gram + rho I (one right-hand side), and W = M G^-1 is formed, with
-    n_r right-hand sides, each time `.W` is read. Both kinds carry the
-    1/sqrt(P), so s_tilde estimates s at unit scale for any P.
-    Neither G nor W is kept, and `psed_detect` hands the same `gram` to the
-    MMP search, so one H^H H serves a call.
+    `WeightMatrix(W)` holds W itself as `M`, as MF weights are held. Only
+    `weight_matrix` sets `gram` and `rho`: LMMSE weights hold M = H / sqrt(P),
+    `gram` = H^H H of that same H and `rho` = noise_var / P. `detect` solves
+    G s_tilde = M^H y with G = gram + rho I (one right-hand side), and
+    W = M G^-1 is formed, with n_r right-hand sides, each time `.W` is read.
+    Both kinds carry the 1/sqrt(P), so s_tilde estimates s at unit scale for
+    any P. Neither G nor W is kept, and `psed_detect` hands the same `gram`
+    to the MMP search, so one H^H H serves a call.
     """
 
     M: np.ndarray = field(repr=False)
-    gram: np.ndarray | None = field(default=None, repr=False)
-    rho: float = 0.0
+    gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    rho: float = field(default=0.0, init=False)
 
     @property
     def G(self) -> np.ndarray:
@@ -56,22 +55,22 @@ def weight_matrix(H: np.ndarray, kind: str, power: float, noise_var: float) -> W
     The 1/sqrt(P) undoes the sqrt(P) of y = sqrt(P) H s + v, so `detect`
     returns an estimate of s itself.
 
-    LMMSE weights form their own `gram`, which `psed_detect` shares with the
-    MMP search. One whose G = gram + rho I has condition number above 1e12
-    raises SingularMatrixError.
+    Only LMMSE weights hold a `gram`, from `require_gram`, which `psed_detect`
+    shares with the MMP search. An H whose Gram overflows raises DomainError,
+    and one whose G = gram + rho I has condition number above 1e12 SingularMatrixError.
     """
     H, _, _ = require_system(H, power=power, noise_var=noise_var)
     if kind == MF:
         return WeightMatrix(H / np.sqrt(power))
     if kind == LMMSE:
-        gram = H.conj().T @ H
+        gram = require_gram(H)
         h2 = gram.trace().real  # ||H||_F^2
-        rho = noise_var / power
-        M = H if power == 1 else H / np.sqrt(power)  # at P = 1 the division would only copy H
-        weights = WeightMatrix(M, gram, rho)
+        weights = WeightMatrix(H if power == 1 else H / np.sqrt(power))  # at P = 1 the division would only copy H
+        object.__setattr__(weights, "gram", gram)
+        object.__setattr__(weights, "rho", noise_var / power)
         # cond(G) <= (||H||_F^2 + rho) / rho, so at any usual noise level the
         # bound alone clears G; only near-zero noise needs the SVD.
-        if h2 + rho >= _COND_LIMIT * rho and not np.linalg.cond(weights.G) <= _COND_LIMIT:
+        if h2 + weights.rho >= _COND_LIMIT * weights.rho and not np.linalg.cond(weights.G) <= _COND_LIMIT:
             raise SingularMatrixError(
                 f"LMMSE weight matrix: H^H H + (noise_var/P) I is numerically singular "
                 f"(condition number above {_COND_LIMIT:g})"
@@ -84,9 +83,8 @@ def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
     """Apply the weights: s_tilde = W^H y, solved as G s_tilde = M^H y for LMMSE weights.
 
     Weights from `weight_matrix` carry 1/sqrt(P), so s_tilde estimates s at unit scale.
-    M must be 2-D and non-empty, y must be (n_r,), a `gram` must be
-    (n_t, n_t) for M's n_t columns, and all must be finite; each message
-    names `weights`, `y` or `gram`.
+    M must be 2-D and non-empty and y (n_r,), both finite; each message names `weights`
+    or `y`. Only `weight_matrix` sets a `gram`, made from M's own H and checked there.
     """
     M = np.asarray(weights.M, dtype=np.complex128)
     if M.ndim != 2 or not M.size:
@@ -96,13 +94,7 @@ def detect(weights: WeightMatrix, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"y of shape {y.shape} does not fit weights of shape {M.shape}: expected (n_r,)")
     require_finite(weights=M, y=y)
     s_tilde = M.conj().T @ y
-    if weights.gram is None:
-        return s_tilde
-    gram = np.asarray(weights.gram)
-    if gram.shape != (M.shape[1],) * 2:
-        raise DimensionError(f"gram of shape {gram.shape} does not fit weights of shape {M.shape}: expected (n_t, n_t)")
-    require_finite(gram=gram)
-    return np.linalg.solve(weights.G, s_tilde)
+    return s_tilde if weights.gram is None else np.linalg.solve(weights.G, s_tilde)
 
 
 def residual_stream_variance(

@@ -28,12 +28,13 @@ they are references for the search, which never calls them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _COND_LIMIT, ConfigurationError, SingularMatrixError, require_system
-from .errors import require_count, require_real
+from .errors import _COND_LIMIT, ConfigurationError, DimensionError, DomainError, SingularMatrixError
+from .errors import require_count, require_finite, require_gram, require_real, require_system
 
 LS = "LS"
 LMMSE = "LMMSE"
@@ -214,7 +215,10 @@ def mmp(
     instead.
 
     The search runs on G = A^H A with A = sqrt(P) H, formed as P (H^H H)
-    whether or not the caller passes H^H H as `gram`. The regularized solve
+    whether or not the caller passes H^H H as `gram`, which must be that of
+    the same H. A misshaped or non-finite `gram` raises DimensionError or
+    DomainError naming it, and an overflowing H^H H or P H^H H DomainError
+    naming H. The regularized solve
     with rho = noise_var / error_var is least squares on the augmented
     system A~ = [A; sqrt(rho) I] against y' padded with zeros, so one
     kernel serves both estimators (rho = 0 for LS) and G~ = A~^H A~ = G + rho I.
@@ -253,7 +257,16 @@ def mmp(
         rho = noise_var / require_real("error_var", error_var, "(0, inf)", ConfigurationError)
 
     n_t = H.shape[1]
-    gram = power * (H.conj().T @ H if gram is None else gram)
+    if gram is None:
+        gram = require_gram(H)
+    elif np.shape(gram) != (n_t, n_t):
+        raise DimensionError(f"gram of shape {np.shape(gram)} does not fit H of shape {H.shape}: expected (n_t, n_t)")
+    else:
+        require_finite(gram=gram)
+    # The trace bounds every entry, as in require_gram; at P = 1 the checked Gram is the search Gram.
+    if power != 1 and not math.isfinite(float(power) * float(np.asarray(gram).diagonal().real.sum())):
+        raise DomainError("H is too large: the search Gram matrix P H^H H overflows")
+    gram = power * np.asarray(gram)
     gram[np.diag_indices(n_t)] += rho
     gram_t = gram.T.copy()
     col_energy = gram.diagonal().real.copy()

@@ -1,6 +1,7 @@
 """The input gates: every entry point rejects a bad part of y = sqrt(P) H s + v, count, index or real alike."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from psed import (
 )
 from psed.analysis import stream_correlation
 from psed.baselines import ml_cost
+from psed.errors import require_gram
 from tests.conftest import complex_noise, seeded_channel
 
 QPSK = make_constellation("QPSK")
@@ -57,6 +59,7 @@ VALID = {
     "power": 1.0,
     "noise_var": 0.1,
 }
+Y0 = VALID["y"]
 WEIGHTS = weight_matrix(H0, "LMMSE", 1.0, 0.1)
 
 # Entry point: (the arguments of the system it takes, a call from those arguments).
@@ -152,39 +155,10 @@ def test_bad_input_raises_named_error(entry, arg, bad, error):
 
 
 # Caller-built weights `detect` must refuse: (label, weights, y, error it must raise, start of its message).
-# A message about the weights names the weights, one about their Gram names gram, and one about y names y.
+# A message about the weights names the weights, and one about y names y.
 BAD_WEIGHTS = [
     ("nan", WeightMatrix(_with(np.nan)(WEIGHTS.W)), VALID["y"], DomainError, "weights must be finite"),
     ("inf", WeightMatrix(_with(np.inf)(WEIGHTS.W)), VALID["y"], DomainError, "weights must be finite"),
-    (
-        "nan-gram-held",
-        WeightMatrix(_with(np.nan)(WEIGHTS.M), WEIGHTS.gram, WEIGHTS.rho),
-        VALID["y"],
-        DomainError,
-        "weights must be finite",
-    ),
-    (
-        "nan-gram",
-        WeightMatrix(WEIGHTS.M, _with(np.nan)(WEIGHTS.gram), WEIGHTS.rho),
-        VALID["y"],
-        DomainError,
-        "gram must be finite",
-    ),
-    (
-        "inf-gram",
-        WeightMatrix(WEIGHTS.M, _with(np.inf)(WEIGHTS.gram), WEIGHTS.rho),
-        VALID["y"],
-        DomainError,
-        "gram must be finite",
-    ),
-    (
-        "misfit-gram",
-        WeightMatrix(WEIGHTS.M, WEIGHTS.gram[:4, :4], WEIGHTS.rho),
-        VALID["y"],
-        DimensionError,
-        r"gram of shape \(4, 4\) does not fit weights of shape \(8, 6\)",
-    ),
-    ("1-D-gram", WeightMatrix(WEIGHTS.M, np.ones(6), WEIGHTS.rho), VALID["y"], DimensionError, "gram of shape"),
     ("misfit", WeightMatrix(np.ones((8, 4))), np.ones(7), DimensionError, r"y of shape \(7,\) does not fit weights "),
     ("no rows", WeightMatrix(np.ones((0, 4))), np.ones(0), DimensionError, "weights must be a non-empty 2-D"),
     ("no columns", WeightMatrix(np.ones((8, 0))), np.ones(8), DimensionError, "weights must be a non-empty 2-D"),
@@ -200,10 +174,97 @@ def test_detect_refuses_bad_weights_naming_them(weights, y, error, message):
         detect(weights, y)
 
 
+def test_only_weight_matrix_builds_gram_held_weights():
+    # a caller holds its own W; a Gram and rho come only with the H they were formed from
+    with pytest.raises(TypeError):
+        WeightMatrix(WEIGHTS.M, WEIGHTS.gram, WEIGHTS.rho)
+    with pytest.raises(TypeError):
+        WeightMatrix(WEIGHTS.M, gram=WEIGHTS.gram)
+    assert WeightMatrix(WEIGHTS.M).gram is None and WeightMatrix(WEIGHTS.M).rho == 0.0
+
+
+# A Gram matrix handed to `mmp`: (label, bad Gram from H0's own, error it must raise, start of its message).
+GRAM0 = H0.conj().T @ H0
+BAD_GRAMS = [
+    ("nan", _with(np.nan), DomainError, "gram must be finite"),
+    ("inf", _with(np.inf), DomainError, "gram must be finite"),
+    ("all-nan", lambda g: np.full_like(g, np.nan), DomainError, "gram must be finite"),
+    ("misfit", lambda g: g[:4, :4], DimensionError, r"gram of shape \(4, 4\) does not fit H of shape \(8, 6\)"),
+    ("1-D", lambda g: g[0], DimensionError, r"gram of shape \(6,\) does not fit H"),
+]
+
+
+@pytest.mark.parametrize("bad, error, message", [pytest.param(*case[1:], id=case[0]) for case in BAD_GRAMS])
+@pytest.mark.parametrize("estimator", ["LS", "LMMSE"])
+def test_mmp_refuses_bad_gram_naming_it(bad, error, message, estimator):
+    search = dict(K=2, L=2, estimator=estimator, error_var=1.0, noise_var=0.1)
+    assert mmp(H0, Y0, 1.0, **search, gram=GRAM0).support == mmp(H0, Y0, 1.0, **search).support
+    with pytest.raises(error, match=f"^{message}"):
+        mmp(H0, Y0, 1.0, **search, gram=bad(GRAM0))
+
+
+# An H whose every entry is finite but whose Gram H^H H overflows: each entry point
+# that works from the Gram must refuse it naming H, before numpy warns of the overflow.
+H_HUGE = 1e160 * H0
+GRAM_USERS = {
+    "weight_matrix": lambda H: weight_matrix(H, "LMMSE", 1.0, 0.1),
+    "psed_detect": lambda H: psed_detect(Y0, H, 1.0, 0.1, QPSK, PsedConfig(base_detector="LMMSE")),
+    "mmp": lambda H: mmp(H, Y0, 1.0, K=2, L=2),
+    "rip_constant": lambda H: rip_constant(H, 2),
+}
+
+
+@pytest.mark.parametrize("entry", GRAM_USERS)
+def test_overflowing_gram_refused_naming_H(entry):
+    assert np.isfinite(H_HUGE).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^H is too large: its Gram matrix H\^H H overflows"):
+            GRAM_USERS[entry](H_HUGE)
+
+
+def _frobenius_squared_at(H, share):
+    """H scaled so that ||H||_F^2, the trace of its Gram, is `share` of the largest float."""
+    return H * (math.sqrt(share) * math.sqrt(np.finfo(float).max) / np.linalg.norm(H))
+
+
+@pytest.mark.parametrize("share", [0.49, 0.4999999])
+@pytest.mark.parametrize("H", [H0, np.ones((1, 2))], ids=["8x6", "1x2"])
+def test_gram_whose_trace_fits_is_finite(H, share):
+    # require_gram reads only ||H||_F^2, the trace, which bounds every entry
+    H = _frobenius_squared_at(H, share)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = require_gram(H)
+    assert np.isfinite(gram).all()
+    np.testing.assert_array_equal(gram, H.conj().T @ H)
+
+
+@pytest.mark.parametrize("share", [0.5000001, 1.01])
+@pytest.mark.parametrize("H", [H0, np.ones((1, 2))], ids=["8x6", "1x2"])
+def test_gram_whose_doubled_trace_overflows_is_refused(H, share):
+    # the rule keeps a factor 2 for the rounding of the product: every entry of the
+    # 1x2 H's Gram is half its trace, so each of them would fit
+    H = _frobenius_squared_at(H, share)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^H is too large"):
+            require_gram(H)
+
+
+@pytest.mark.parametrize("power", [1e308, np.float64(1e308)], ids=["float", "numpy"])
+@pytest.mark.parametrize("gram", [None, "own"])
+def test_mmp_refuses_overflowing_search_gram(gram, power):
+    # P H^H H overflows where H^H H does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^H is too large: the search Gram matrix P H\^H H overflows"):
+            mmp(H0, Y0, power, K=2, L=2, gram=None if gram is None else GRAM0)
+
+
 # Every count and index a caller sets: (entry point, parameter, low, high, call
 # with the parameter set to a value). `low` itself must be accepted; 2.5, NaN,
 # True, low - 1 and high + 1 must raise ConfigurationError naming the parameter.
-Y0 = VALID["y"]
 SETTINGS = [
     ("mmp", "K", 1, 6, lambda v: mmp(H0, Y0, 1.0, K=v, L=2)),
     ("mmp", "L", 1, None, lambda v: mmp(H0, Y0, 1.0, K=2, L=v)),
